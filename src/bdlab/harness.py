@@ -28,13 +28,13 @@ from .paths import (
 from .process import RateModel, RngStream, simulate_xi, simulate_zeta
 from .rates import (
     ScalingFamily,
-    _log_sum_exp,
     level_crossing_rate,
     marginal_log_prob,
     normalizer,
     phi,
     poisson_exact_log_pmf,
     poisson_exact_log_tail,
+    poisson_log_window,
     poisson_mean,
     rate_exp,
     rate_sub,
@@ -604,20 +604,6 @@ def run_marginal_ldp_scan(config: ExperimentConfig) -> Table:
     )
 
 
-def _terminal_window_log_prob(
-    P: float, Q: float, T: float, lo: float, hi: float, phi_of_T: float
-) -> float:
-    """Exact ln P(final state / phi in [lo, hi]) under the closed-form law."""
-    x_lo = math.ceil(lo * phi_of_T)
-    x_hi = math.floor(hi * phi_of_T)
-    if x_lo > x_hi:
-        return _NEG_INF
-    terms = [poisson_exact_log_pmf(P, Q, T, x) for x in range(max(x_lo, 0), x_hi + 1)]
-    if not terms:
-        return _NEG_INF
-    return _log_sum_exp(terms)
-
-
 def _estimate_row(
     T: float,
     p: float,
@@ -689,9 +675,7 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
         verdict = "agree_ok" if z <= 3.0 else "agree_fail"
         ref = None
         if event.kind == "terminal_window" and model.exact_law_available:
-            raw_ref = _terminal_window_log_prob(
-                model.P, model.Q, T, event.lo, event.hi, p
-            )
+            raw_ref = poisson_log_window(model.P, model.Q, T, event.lo * p, event.hi * p)
             ref = raw_ref / psi if raw_ref != _NEG_INF else _NEG_INF
         ref_tag = "exact" if ref is not None else "companion"
         d_norm = est_d.log_value / psi if est_d.log_value != _NEG_INF else _NEG_INF

@@ -37,6 +37,7 @@ __all__ = [
     "poisson_mean",
     "poisson_exact_log_pmf",
     "poisson_exact_log_tail",
+    "poisson_log_window",
     "marginal_log_prob",
     "marginal_normalized_log_prob",
     "tilted_poisson_argmax",
@@ -241,28 +242,52 @@ def _log_sum_exp(terms: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
-def poisson_exact_log_tail(P: float, Q: float, T: float, lo: int) -> float:
-    """ln P(state at T >= lo), summed to full double precision.
+# Above 2**53 consecutive integers are no longer distinct doubles: pmf
+# terms stop changing there, so a walk over states would never stop.
+_MAX_STATE = 2**53
 
-    Terms past the pmf mode decay at least geometrically; accumulation
-    stops once a term sits 60 e-folds below the running peak, which
-    bounds the discarded mass far beyond double resolution.
+
+def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> float:
+    """ln P(lo <= state at T <= hi) for real bounds (hi may be inf), exact.
+
+    The sum starts at the integer of the window nearest the pmf mode
+    floor(a(T)) and walks outward one term at a time.  The pmf falls
+    along both walks, so each one stops at the window edge or once a
+    term sits 60 e-folds below the running peak, which bounds the
+    discarded mass far beyond double resolution.  The number of terms
+    does not grow with the position of the window, only with its reach
+    into the bulk of the law.  An empty integer window gives -inf; a
+    window that needs a state above 2**53 is refused.
     """
-    if lo < 0:
-        raise PreconditionError(f"lo must be nonnegative, got {lo}")
+    if math.isnan(lo) or math.isnan(hi):
+        raise PreconditionError(f"window bounds must be numbers, got [{lo}, {hi}]")
     a = poisson_mean(P, Q, T)
+    lo = max(lo, 0)
+    # the point of [lo, hi] nearest the mode, then the integer beside it
+    start = min(max(math.floor(a), lo), hi)
+    if start > _MAX_STATE:
+        raise PreconditionError(f"the window sum needs states above 2**53 ({start:g})")
+    start = math.ceil(start) if start == lo else math.floor(start)
     terms: list[float] = []
     peak = float("-inf")
-    x = lo
-    while True:
-        lp = poisson_exact_log_pmf(P, Q, T, x)
-        terms.append(lp)
-        if lp > peak:
-            peak = lp
-        if x > a and lp < peak - 60.0:
-            break
-        x += 1
-    return _log_sum_exp(terms)
+    for x, step in ((start, 1), (start - 1, -1)):
+        while lo <= x <= hi:
+            if x > _MAX_STATE:
+                raise PreconditionError("the window sum needs states above 2**53")
+            lp = poisson_exact_log_pmf(P, Q, T, x)
+            terms.append(lp)
+            peak = max(peak, lp)
+            if lp < peak - 60.0:
+                break
+            x += step
+    return _log_sum_exp(terms) if terms else float("-inf")
+
+
+def poisson_exact_log_tail(P: float, Q: float, T: float, lo: int) -> float:
+    """ln P(state at T >= lo), summed to full double precision."""
+    if lo < 0:
+        raise PreconditionError(f"lo must be nonnegative, got {lo}")
+    return poisson_log_window(P, Q, T, lo, math.inf)
 
 
 def marginal_log_prob(
@@ -276,8 +301,8 @@ def marginal_log_prob(
     """ln P(state at T in [(a-eps)*phi, (a+eps)*phi]), exact.
 
     The window is the closed integer range [ceil((a-eps)*phi),
-    floor((a+eps)*phi)]; its probability is an exact log-sum-exp of pmf
-    terms.  An empty integer window gives -inf.
+    floor((a+eps)*phi)], summed by poisson_log_window.  An empty integer
+    window gives -inf.
     """
     if not a > 0:
         raise PreconditionError(f"a must be positive, got {a}")
@@ -290,13 +315,7 @@ def marginal_log_prob(
         raise PreconditionError(f"needs phi(T) > 1, got {p}")
     if not math.isfinite(p):
         raise PreconditionError("phi(T) too large for an integer window")
-    _check_exact_law_params(P, Q, T)
-    lo = math.ceil((a - eps) * p)
-    hi = math.floor((a + eps) * p)
-    if lo > hi:
-        return float("-inf")
-    terms = [poisson_exact_log_pmf(P, Q, T, x) for x in range(lo, hi + 1)]
-    return _log_sum_exp(terms)
+    return poisson_log_window(P, Q, T, (a - eps) * p, (a + eps) * p)
 
 
 def marginal_normalized_log_prob(
@@ -318,10 +337,10 @@ def marginal_normalized_log_prob(
 def tilted_poisson_argmax(C: float, T: float, family: ScalingFamily) -> int:
     """Argmax over 0 <= j <= floor(C*phi(T)) of the tilted Poisson weights.
 
-    The weights are g_j = phi**j * exp(-T/2) * (T/2)**j / j!.  For
-    T > 2*C consecutive ratios stay above 1 on the whole range, so the
-    maximum sits at the right edge floor(C*phi(T)); the scan is still
-    performed directly (in log space) rather than assumed.
+    The weights are g_j = phi**j * exp(-T/2) * (T/2)**j / j!, with
+    consecutive ratios g_{j+1}/g_j = phi*(T/2)/(j+1) >= T/(2*C) on the
+    whole range.  For T > 2*C every ratio exceeds 1, so the maximum sits
+    at the right edge floor(C*phi(T)); the value returned is that edge.
     """
     if not C > 0:
         raise PreconditionError(f"C must be positive, got {C}")
@@ -330,15 +349,5 @@ def tilted_poisson_argmax(C: float, T: float, family: ScalingFamily) -> int:
         raise PreconditionError(f"needs T > 2C, got T = {T}, C = {C}")
     p = phi(family, T)
     if not math.isfinite(p):
-        raise PreconditionError("phi(T) too large to scan")
-    j_max = math.floor(C * p)
-    lgp = log_phi(family, T)
-    lhalf = math.log(T / 2.0)
-    best = float("-inf")
-    arg = 0
-    for j in range(j_max + 1):
-        g = j * lgp - T / 2.0 + j * lhalf - math.lgamma(j + 1.0)
-        if g > best:
-            best = g
-            arg = j
-    return arg
+        raise PreconditionError("phi(T) too large for an integer argmax")
+    return math.floor(C * p)

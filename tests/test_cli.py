@@ -1,8 +1,11 @@
 """Exit codes, output routing, and flag overrides of the command line."""
 
 import json
+import math
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,32 @@ def test_rate_eval_profile_flag(tmp_path, capsys):
     malformed.write_text(json.dumps({"mode": "step"}), encoding="utf-8")
     assert main(["rate-eval", "--config", cfg, "--profile", str(malformed)]) == 2
     capsys.readouterr()
+
+
+def timed_main(argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_marginal_scan_is_fast_and_finite_across_phi(tmp_path, capsys):
+    # phi reaches 4.3e15 at T = 36, just below 2**53
+    long_grid = write_cfg(tmp_path, dict(MARGINAL_CFG, t_grid=[15.0, 20.0, 30.0, 36.0]))
+    superexp = str(Path(__file__).resolve().parents[1] / "configs" / "marginal_superexp.json")
+    for cfg in (long_grid, superexp):
+        code, elapsed = timed_main(["marginal-scan", "--config", cfg])
+        rows = parse_results(capsys.readouterr().out, "csv").rows
+        assert code == 0 and elapsed < 1.0
+        assert rows and all(math.isfinite(row[3]) and math.isfinite(row[4]) for row in rows)
+
+
+@pytest.mark.parametrize("T", [40.0, 100.0, 300.0])
+@pytest.mark.parametrize("command", ["marginal-scan", "level-cross-scan"])
+def test_exact_scans_refuse_states_above_two_to_the_53(tmp_path, capsys, command, T):
+    cfg = write_cfg(tmp_path, dict(MARGINAL_CFG, t_grid=[T]))
+    code, elapsed = timed_main([command, "--config", cfg])
+    assert code == 3 and elapsed < 1.0
+    assert "2**53" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):

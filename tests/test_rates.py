@@ -1,7 +1,10 @@
 """Scaling families, rate functionals, and the exact terminal law."""
 
+import importlib.util
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from bdlab.rates import (
     phi,
     poisson_exact_log_pmf,
     poisson_exact_log_tail,
+    poisson_log_window,
     poisson_mean,
     rate_exp,
     rate_sub,
@@ -420,3 +424,135 @@ def test_tilted_argmax_contract(case):
         - np.array([math.lgamma(j + 1.0) for j in range(j_max + 1)])
     )
     assert int(np.argmax(logs)) == got
+
+
+# ---------------------------------------------------------------------------
+# the window primitive against the full-window sum it replaced
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference_log_window(P, Q, T, lo, hi):
+    """Every pmf term of the integer window, reduced by max and fsum.
+
+    For hi = inf this is the upward tail loop: it runs from lo past the
+    mean until a term sits 60 e-folds below the running peak.
+    """
+    x = max(math.ceil(lo), 0)
+    if math.isinf(hi):
+        a = poisson_mean(P, Q, T)
+        terms, peak = [], -math.inf
+        while True:
+            lp = poisson_exact_log_pmf(P, Q, T, x)
+            terms.append(lp)
+            peak = max(peak, lp)
+            if x > a and lp < peak - 60.0:
+                break
+            x += 1
+    else:
+        terms = [poisson_exact_log_pmf(P, Q, T, y) for y in range(x, math.floor(hi) + 1)]
+    if not terms:
+        return -math.inf
+    m = max(terms)
+    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+
+
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def exact_windows(cfg):
+    """(P, Q, T, lo, hi) of every exact window or tail a config evaluates."""
+    model = cfg.get("model", {})
+    if model.get("kind") != "canonical" or model.get("l") != 0.0 or "scaling" not in cfg:
+        return []
+    family = ScalingFamily(**cfg["scaling"])
+    P, Q = model["P"], model["Q"]
+    out = []
+    for T in cfg["t_grid"]:
+        p = phi(family, T)
+        event = cfg.get("event") or {}
+        if event.get("kind") == "terminal_window":
+            out.append((P, Q, T, event["lo"] * p, event["hi"] * p))
+        elif "eps" in cfg:
+            out.append((P, Q, T, (cfg["a"] - cfg["eps"]) * p, (cfg["a"] + cfg["eps"]) * p))
+        elif "a" in cfg:
+            out.append((P, Q, T, math.ceil(cfg["a"] * p), math.inf))
+    return out
+
+
+def test_window_equals_full_sum_on_shipped_and_bench_inputs():
+    configs = [json.loads(f.read_text()) for f in sorted((ROOT / "configs").glob("*.json"))]
+    bench = load_module(ROOT / "bench" / "workloads.py")
+    configs += list(bench.EXACT.values()) + [bench.SMALL_T]
+    windows = [w for cfg in configs for w in exact_windows(cfg)]
+    # marginal exp/superexp, level-cross, small-T terminal windows
+    assert len(windows) >= 30
+    for w in windows:
+        assert poisson_log_window(*w) == reference_log_window(*w), w
+
+
+@st.composite
+def window_cases(draw):
+    P = draw(st.floats(0.1, 500.0))
+    Q = draw(st.floats(0.1, 4.0))
+    T = draw(st.floats(0.05, 13.0))
+    a = draw(st.floats(0.05, 3.0))
+    eps = draw(st.floats(0.0, 1.0)) * a
+    if draw(st.booleans()):
+        phi_ = poisson_mean(P, Q, T) / a  # the window is centred on the mean
+    else:
+        phi_ = draw(st.floats(1.0, 2000.0))
+    lo, hi = (a - eps) * phi_, (a + eps) * phi_
+    if draw(st.booleans()):
+        hi = math.inf
+    return P, Q, T, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+def test_window_matches_full_sum(case):
+    got = poisson_log_window(*case)
+    want = reference_log_window(*case)
+    if want == -math.inf:
+        assert got == want
+    else:
+        # relative on the log value, and on the probability near log 0
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_window_edges_and_empty_windows():
+    a = poisson_mean(2.0, 0.5, 10.0)
+    assert poisson_log_window(2.0, 0.5, 10.0, -5.0, math.inf) == poisson_log_window(
+        2.0, 0.5, 10.0, 0, math.inf
+    )
+    assert abs(poisson_log_window(2.0, 0.5, 10.0, 0, math.inf)) < 1e-12
+    assert poisson_log_window(2.0, 0.5, 10.0, 3.2, 3.9) == -math.inf
+    assert poisson_log_window(2.0, 0.5, 10.0, 5.0, 4.0) == -math.inf
+    # 0 * phi with phi = inf
+    with pytest.raises(PreconditionError):
+        poisson_log_window(2.0, 0.5, 10.0, math.nan, math.inf)
+    # a window of one state below, at and above the mode is that pmf term
+    for x in (0, math.floor(a), 12):
+        assert poisson_log_window(2.0, 0.5, 10.0, x, x) == poisson_exact_log_pmf(
+            2.0, 0.5, 10.0, x
+        )
+
+
+def test_window_refuses_states_above_two_to_the_53():
+    big = 2**53
+    with pytest.raises(PreconditionError):
+        poisson_log_window(1.0, 1.0, 3.0, big + 1, math.inf)
+    with pytest.raises(PreconditionError):
+        poisson_log_window(1.0, 1.0, 3.0, math.inf, math.inf)
+    # the mode itself lies above 2**53
+    with pytest.raises(PreconditionError):
+        poisson_log_window(4.0 * big, 1.0, 50.0, 0, math.inf)
+    # the walk from 2**53 would step past it
+    with pytest.raises(PreconditionError):
+        poisson_log_window(1.0, 1.0, 3.0, big, math.inf)
+    # a window ending below 2**53 is summed however far out it lies
+    assert poisson_log_window(1.0, 1.0, 3.0, big - 10, big) < -1e17
