@@ -16,7 +16,7 @@ from .errors import ConfigError, PreconditionError
 from .harness import (
     ExperimentConfig,
     emit_results,
-    profile_from_dict,
+    load_profile,
     run_consistency_check,
     run_level_cross_scan,
     run_marginal_ldp_scan,
@@ -24,7 +24,6 @@ from .harness import (
     run_rate_eval,
     run_simulate,
     write_results,
-    _load_json_file,
 )
 
 __all__ = ["main"]
@@ -106,8 +105,7 @@ def _run(args: argparse.Namespace):
     if args.command == "level-cross-scan":
         return config, run_level_cross_scan(config)
     if args.command == "rate-eval":
-        profile = profile_from_dict(_load_json_file(args.profile, "profile"))
-        return config, run_rate_eval(config, profile)
+        return config, run_rate_eval(config, load_profile(args.profile))
     raise ConfigError(f"unknown command {args.command!r}")
 
 

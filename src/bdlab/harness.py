@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ from .weights import (
     agreement_z,
     direct_estimate,
     importance_estimate,
-    _run_chunks,
+    terminal_states,
 )
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "Table",
     "RESULT_COLUMNS",
     "derive_seed",
+    "load_profile",
     "profile_from_dict",
     "profile_to_dict",
     "run_poisson_check",
@@ -185,6 +187,8 @@ class ExperimentConfig:
                 raise PreconditionError(f"sample counts must be >= 1, got {n}")
         if not (0 <= self.seed < 2**64):
             raise PreconditionError(f"seed must be a 64-bit integer, got {self.seed}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise PreconditionError(f"out must be a path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise PreconditionError(f"format must be csv or json, got {self.format!r}")
         if self.threads < 0:
@@ -206,66 +210,52 @@ class ExperimentConfig:
     def from_dict(cls, d: dict, base_dir: str | None = None) -> "ExperimentConfig":
         _check_keys(
             d,
-            required={"model", "t_grid", "samples", "seed"},
-            optional={
-                "scaling",
-                "event",
-                "a",
-                "eps",
-                "mc_check",
-                "out",
-                "format",
-                "threads",
-            },
+            required=("model", "t_grid", "samples", "seed"),
+            optional=("scaling", "event", "a", "eps", "mc_check", "out", "format", "threads"),
             where="config",
         )
+
+        def if_set(key, decode):
+            return decode(d[key]) if d.get(key) is not None else None
+
         try:
-            model = _model_from_dict(d["model"], base_dir)
-            scaling = (
-                _scaling_from_dict(d["scaling"]) if d.get("scaling") is not None else None
-            )
-            event = (
-                _event_from_dict(d["event"], base_dir)
-                if d.get("event") is not None
-                else None
-            )
-            t_grid = tuple(float(T) for T in d["t_grid"])
+            t_grid = tuple(_number(T) for T in d["t_grid"])
             raw_samples = d["samples"]
-            if isinstance(raw_samples, (int, float)):
-                samples = (int(raw_samples),) * len(t_grid)
+            if isinstance(raw_samples, (list, tuple)):
+                samples = tuple(_count(n) for n in raw_samples)
             else:
-                samples = tuple(int(n) for n in raw_samples)
+                samples = (_count(raw_samples),) * len(t_grid)
             mc = d.get("mc_check")
             if mc is not None:
-                _check_keys(mc, required={"T", "n"}, optional=set(), where="mc_check")
+                _check_keys(mc, ("T", "n"), "mc_check")
             return cls(
-                model=model,
-                scaling=scaling,
+                model=_from_dict("model", d["model"], base_dir),
+                scaling=if_set("scaling", lambda v: _from_dict("scaling", v, base_dir)),
                 t_grid=t_grid,
                 samples=samples,
-                event=event,
-                a=float(d["a"]) if d.get("a") is not None else None,
-                eps=float(d["eps"]) if d.get("eps") is not None else None,
-                mc_check_T=float(mc["T"]) if mc is not None else None,
-                mc_check_n=int(mc["n"]) if mc is not None else None,
-                seed=int(d["seed"]),
+                event=if_set("event", lambda v: _from_dict("event", v, base_dir)),
+                a=if_set("a", _number),
+                eps=if_set("eps", _number),
+                mc_check_T=_number(mc["T"]) if mc is not None else None,
+                mc_check_n=_count(mc["n"]) if mc is not None else None,
+                seed=_count(d["seed"]),
                 out=d.get("out"),
                 format=d.get("format", "csv"),
-                threads=int(d.get("threads", 0)),
+                threads=_count(d.get("threads", 0)),
             )
         except PreconditionError as exc:
             raise ConfigError(str(exc)) from exc
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
 
     def to_dict(self) -> dict:
-        d: dict = {"model": _model_to_dict(self.model)}
+        d: dict = {"model": _to_dict("model", self.model)}
         if self.scaling is not None:
-            d["scaling"] = _scaling_to_dict(self.scaling)
+            d["scaling"] = _to_dict("scaling", self.scaling)
         d["t_grid"] = list(self.t_grid)
         d["samples"] = list(self.samples)
         if self.event is not None:
-            d["event"] = _event_to_dict(self.event)
+            d["event"] = _to_dict("event", self.event)
         if self.a is not None:
             d["a"] = self.a
         if self.eps is not None:
@@ -281,120 +271,43 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        import os
-
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        d = _load_json_file(path, "config")
         if not isinstance(d, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(d, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
+def _check_keys(d: dict, required, where: str, optional=()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    keys = set(d)
-    missing = required - keys
+    missing = set(required) - set(d)
     if missing:
         raise ConfigError(f"{where} is missing keys: {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
 
 
-def _model_from_dict(d: dict, base_dir: str | None) -> RateModel:
-    _check_keys(d, required={"kind"}, optional={"P", "Q", "l", "entries", "path"}, where="model")
-    if d["kind"] == "canonical":
-        _check_keys(d, required={"kind", "P", "Q", "l"}, optional=set(), where="model")
-        return RateModel(kind="canonical", P=float(d["P"]), Q=float(d["Q"]), l=float(d["l"]))
-    if d["kind"] == "table":
-        if "entries" in d:
-            _check_keys(d, required={"kind", "entries"}, optional=set(), where="model")
-            entries = d["entries"]
-        elif "path" in d:
-            _check_keys(d, required={"kind", "path"}, optional=set(), where="model")
-            entries = _load_json_file(_resolve(d["path"], base_dir), "rate table")
-        else:
-            raise ConfigError("table model needs 'entries' or 'path'")
-        table = tuple((float(lam), float(mu)) for lam, mu in entries)
-        return RateModel(kind="table", table=table)
-    raise ConfigError(f"unknown model kind {d['kind']!r}")
+def _number(v) -> float:
+    """A finite JSON number as a float; booleans, strings, NaN and infinities are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {v!r}")
+    return float(v)
 
 
-def _model_to_dict(model: RateModel) -> dict:
-    if model.kind == "canonical":
-        return {"kind": "canonical", "P": model.P, "Q": model.Q, "l": model.l}
-    return {"kind": "table", "entries": [list(e) for e in model.table]}
-
-
-def _scaling_from_dict(d: dict) -> ScalingFamily:
-    _check_keys(d, required={"family"}, optional={"alpha", "k", "beta"}, where="scaling")
-    fam = d["family"]
-    if fam == "poly":
-        _check_keys(d, required={"family", "alpha"}, optional=set(), where="scaling")
-        return ScalingFamily.poly(float(d["alpha"]))
-    if fam == "exponential":
-        _check_keys(d, required={"family", "k"}, optional=set(), where="scaling")
-        return ScalingFamily.exponential(float(d["k"]))
-    if fam == "superexp":
-        _check_keys(d, required={"family", "k", "beta"}, optional=set(), where="scaling")
-        return ScalingFamily.superexp(float(d["k"]), float(d["beta"]))
-    raise ConfigError(f"unknown scaling family {fam!r}")
-
-
-def _scaling_to_dict(s: ScalingFamily) -> dict:
-    if s.family == "poly":
-        return {"family": "poly", "alpha": s.alpha}
-    if s.family == "exponential":
-        return {"family": "exponential", "k": s.k}
-    return {"family": "superexp", "k": s.k, "beta": s.beta}
-
-
-def _event_from_dict(d: dict, base_dir: str | None) -> EventSpec:
-    _check_keys(
-        d,
-        required={"kind"},
-        optional={"eps", "a", "lo", "hi", "profile"},
-        where="event",
-    )
-    kind = d["kind"]
-    if kind == "full_space":
-        _check_keys(d, required={"kind"}, optional=set(), where="event")
-        return EventSpec.full_space()
-    if kind == "level_cross":
-        _check_keys(d, required={"kind", "a"}, optional=set(), where="event")
-        return EventSpec.level_cross(float(d["a"]))
-    if kind == "terminal_window":
-        _check_keys(d, required={"kind", "lo", "hi"}, optional=set(), where="event")
-        return EventSpec.terminal_window(float(d["lo"]), float(d["hi"]))
-    if kind == "neighborhood":
-        _check_keys(d, required={"kind", "eps", "profile"}, optional=set(), where="event")
-        prof = d["profile"]
-        if isinstance(prof, str):
-            prof = _load_json_file(_resolve(prof, base_dir), "profile")
-        return EventSpec.neighborhood(profile_from_dict(prof), float(d["eps"]))
-    raise ConfigError(f"unknown event kind {kind!r}")
-
-
-def _event_to_dict(e: EventSpec) -> dict:
-    if e.kind == "full_space":
-        return {"kind": "full_space"}
-    if e.kind == "level_cross":
-        return {"kind": "level_cross", "a": e.a}
-    if e.kind == "terminal_window":
-        return {"kind": "terminal_window", "lo": e.lo, "hi": e.hi}
-    return {"kind": "neighborhood", "eps": e.eps, "profile": profile_to_dict(e.center)}
+def _count(v) -> int:
+    """A JSON integer, or a float with an integral value such as 1e5."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"expected an integer count, got {v!r}")
+    return v
 
 
 def _resolve(path: str, base_dir: str | None) -> str:
-    import os
-
-    if base_dir and not os.path.isabs(path):
-        return os.path.join(base_dir, path)
-    return path
+    if os.path.isabs(path) or not base_dir:
+        return path
+    return os.path.join(base_dir, path)
 
 
 def _load_json_file(path: str, what: str):
@@ -412,7 +325,7 @@ def profile_from_dict(d: dict) -> PiecewiseFunction:
     segment implicitly runs to t = 1, so no pair has t = 1.
     linear mode: pairs are the interpolation nodes and must span 0 to 1.
     """
-    _check_keys(d, required={"mode", "points"}, optional=set(), where="profile")
+    _check_keys(d, required=("mode", "points"), where="profile")
     mode = d["mode"]
     try:
         pts = [(float(t), float(v)) for t, v in d["points"]]
@@ -440,10 +353,103 @@ def profile_to_dict(f: PiecewiseFunction) -> dict:
     return {"mode": f.mode, "points": points}
 
 
+def load_profile(path: str) -> PiecewiseFunction:
+    """Read a profile JSON file (see profile_from_dict)."""
+    return profile_from_dict(_load_json_file(path, "profile"))
+
+
+def _decode_entries(entries, base_dir=None) -> tuple[tuple[float, float], ...]:
+    return tuple((_number(lam), _number(mu)) for lam, mu in entries)
+
+
+def _decode_rate_file(path, base_dir: str | None) -> tuple[tuple[float, float], ...]:
+    return _decode_entries(_load_json_file(_resolve(path, base_dir), "rate table"))
+
+
+def _decode_profile(v, base_dir: str | None) -> PiecewiseFunction:
+    """An inline profile, or the path of a profile file."""
+    return load_profile(_resolve(v, base_dir)) if isinstance(v, str) else profile_from_dict(v)
+
+
+# Each tagged config part: its tag key, its type, and for each tag value the
+# kind's other keys in emission order.  A kind takes exactly these keys, all
+# of them required.
+_SCHEMA = {
+    "model": ("kind", RateModel, {"canonical": ("P", "Q", "l"), "table": ("entries",)}),
+    "scaling": (
+        "family",
+        ScalingFamily,
+        {"poly": ("alpha",), "exponential": ("k",), "superexp": ("k", "beta")},
+    ),
+    "event": (
+        "kind",
+        EventSpec,
+        {
+            "full_space": (),
+            "level_cross": ("a",),
+            "terminal_window": ("lo", "hi"),
+            "neighborhood": ("eps", "profile"),
+        },
+    ),
+}
+
+# Keys that are not a float field of the same name: key -> (field,
+# decode(value, base_dir), encode(field value)).  A table model may name a
+# JSON file by "path" in place of "entries"; the config echo is inline.
+_CODECS = {
+    "entries": ("table", _decode_entries, lambda t: [list(e) for e in t]),
+    "path": ("table", _decode_rate_file, None),
+    "profile": ("center", _decode_profile, profile_to_dict),
+}
+
+
+def _codec(key: str):
+    return _CODECS.get(key, (key, lambda v, _: _number(v), lambda v: v))
+
+
+def _from_dict(part: str, d: dict, base_dir: str | None):
+    tag_key, cls, kinds = _SCHEMA[part]
+    if not isinstance(d, dict):
+        raise ConfigError(f"{part} must be a JSON object")
+    tag = d.get(tag_key)
+    if tag_key in d and tag not in kinds:
+        raise ConfigError(f"unknown {part} {tag_key} {tag!r}")
+    keys = ("path",) if tag == "table" and "path" in d else kinds.get(tag, ())
+    _check_keys(d, required=(tag_key,) + keys, where=part)
+    fields = {tag_key: tag}
+    for key in keys:
+        name, decode, _ = _codec(key)
+        fields[name] = decode(d[key], base_dir)
+    return cls(**fields)
+
+
+def _to_dict(part: str, obj) -> dict:
+    tag_key, _, kinds = _SCHEMA[part]
+    tag = getattr(obj, tag_key)
+    d = {tag_key: tag}
+    for key in kinds[tag]:
+        name, _, encode = _codec(key)
+        d[key] = encode(getattr(obj, name))
+    return d
+
+
 def derive_seed(seed: int, *tags: int) -> int:
     """A 64-bit seed for a tagged sub-experiment, stable across runs."""
     ss = np.random.SeedSequence((seed,) + tuple(tags))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _table(config: ExperimentConfig, columns: tuple[str, ...], rows) -> Table:
+    """A run's table; its meta echoes the config and seed for the JSON format."""
+    return Table(
+        columns=columns,
+        rows=tuple(rows),
+        meta={"config": config.to_dict(), "seed": config.seed},
+    )
+
+
+def _normalized(raw: float, psi: float) -> float:
+    return raw / psi if raw != _NEG_INF else _NEG_INF
 
 
 def _require_exact_law(model: RateModel, what: str) -> None:
@@ -454,34 +460,15 @@ def _require_exact_law(model: RateModel, what: str) -> None:
         )
 
 
-def _require_scaling(config: ExperimentConfig, what: str) -> ScalingFamily:
-    if config.scaling is None:
-        raise ConfigError(f"{what} needs a 'scaling' entry in the config")
-    return config.scaling
-
-
-def _require_scan_targets(config: ExperimentConfig, what: str) -> tuple[float, float]:
-    if config.a is None:
-        raise ConfigError(f"{what} needs 'a' in the config")
-    return config.a, config.eps if config.eps is not None else 0.0
+def _require(config: ExperimentConfig, key: str, what: str):
+    """An optional config entry that this run cannot do without."""
+    if getattr(config, key) is None:
+        raise ConfigError(f"{what} needs {key!r} in the config")
+    return getattr(config, key)
 
 
 # ---------------------------------------------------------------------------
 # runs
-
-
-def _final_chunk(args) -> list[float]:
-    """Terminal states for one block of chain replicas (floats for uniformity)."""
-    model, T, seed, start, stop = args
-    return [
-        float(simulate_xi(model, T, RngStream(seed, r)).final_state())
-        for r in range(start, stop)
-    ]
-
-
-def _collect_finals(model, T, n, seed, threads) -> list[int]:
-    vals = _run_chunks(_final_chunk, (model, T, seed), n, threads)
-    return [int(v) for v in vals]
 
 
 def run_poisson_check(config: ExperimentConfig) -> Table:
@@ -496,7 +483,7 @@ def run_poisson_check(config: ExperimentConfig) -> Table:
     rows = []
     for i, T in enumerate(config.t_grid):
         n = config.samples[i]
-        finals = _collect_finals(
+        finals = terminal_states(
             config.model, T, n, derive_seed(config.seed, 0, i), config.threads
         )
         counts: dict[int, int] = {}
@@ -518,11 +505,7 @@ def run_poisson_check(config: ExperimentConfig) -> Table:
         tv = 0.5 * (math.fsum(tv_terms) + tail)
         chi2, dof = _chi_square(counts, pmf, n)
         rows.append((T, n, a, tv, chi2, dof, ""))
-    return Table(
-        columns=POISSON_CHECK_COLUMNS,
-        rows=tuple(rows),
-        meta={"config": config.to_dict(), "seed": config.seed},
-    )
+    return _table(config, POISSON_CHECK_COLUMNS, rows)
 
 
 def _chi_square(counts: dict[int, int], pmf: list[float], n: int) -> tuple[float, int]:
@@ -556,52 +539,38 @@ def run_marginal_ldp_scan(config: ExperimentConfig) -> Table:
     column is the limiting value -a.
     """
     _require_exact_law(config.model, "the marginal scan")
-    scaling = _require_scaling(config, "the marginal scan")
+    scaling = _require(config, "scaling", "the marginal scan")
     if scaling.regime == "SUB":
         raise PreconditionError(
             "the marginal scan needs an exponential or superexp scaling family"
         )
-    a, eps = _require_scan_targets(config, "the marginal scan")
-    if config.eps is None:
-        raise ConfigError("the marginal scan needs 'eps' in the config")
+    a = _require(config, "a", "the marginal scan")
+    eps = _require(config, "eps", "the marginal scan")
     P, Q = config.model.P, config.model.Q
     rows = []
     for T in config.t_grid:
         p = phi(scaling, T)
         psi = normalizer(scaling, T)
         raw = marginal_log_prob(P, Q, scaling, T, a, eps)
-        if raw == _NEG_INF:
-            row = ResultRow(
-                T=T,
-                phi=p,
-                psi=psi,
-                log_prob=_NEG_INF,
-                normalized=_NEG_INF,
-                predicted=-a,
-                rel_se=0.0,
-                n_hits=0,
-                max_weight_share=0.0,
-                flag="empty_window",
-            )
-        else:
-            row = ResultRow(
-                T=T,
-                phi=p,
-                psi=psi,
-                log_prob=raw,
-                normalized=raw / psi,
-                predicted=-a,
-                rel_se=0.0,
-                n_hits=0,
-                max_weight_share=0.0,
-                flag="exact",
-            )
-        rows.append(row.astuple())
-    return Table(
-        columns=RESULT_COLUMNS,
-        rows=tuple(rows),
-        meta={"config": config.to_dict(), "seed": config.seed},
-    )
+        flag = "empty_window" if raw == _NEG_INF else "exact"
+        rows.append(_exact_row(T, p, psi, raw, -a, flag))
+    return _table(config, RESULT_COLUMNS, rows)
+
+
+def _exact_row(T: float, p: float, psi: float, raw: float, predicted: float, flag: str) -> tuple:
+    """A closed-form row: no replicas, so no standard error and no hits."""
+    return ResultRow(
+        T=T,
+        phi=p,
+        psi=psi,
+        log_prob=raw,
+        normalized=_normalized(raw, psi),
+        predicted=predicted,
+        rel_se=0.0,
+        n_hits=0,
+        max_weight_share=0.0,
+        flag=flag,
+    ).astuple()
 
 
 def _estimate_row(
@@ -612,13 +581,12 @@ def _estimate_row(
     predicted: float,
     flag: str,
 ) -> tuple:
-    normalized = est.log_value / psi if est.log_value != _NEG_INF else _NEG_INF
     return ResultRow(
         T=T,
         phi=p,
         psi=psi,
         log_prob=est.log_value,
-        normalized=normalized,
+        normalized=_normalized(est.log_value, psi),
         predicted=predicted,
         rel_se=est.relative_std_error,
         n_hits=est.n_hits,
@@ -638,7 +606,7 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
     when the closed-form law gives one, otherwise the companion
     estimator's normalized value; the flag records what was compared.
     """
-    scaling = _require_scaling(config, "the consistency check")
+    scaling = _require(config, "scaling", "the consistency check")
     if any(T > 5 for T in config.t_grid):
         warnings.warn(
             "consistency checks are meant for small T (<= 5); importance "
@@ -676,29 +644,23 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
         ref = None
         if event.kind == "terminal_window" and model.exact_law_available:
             raw_ref = poisson_log_window(model.P, model.Q, T, event.lo * p, event.hi * p)
-            ref = raw_ref / psi if raw_ref != _NEG_INF else _NEG_INF
+            ref = _normalized(raw_ref, psi)
         ref_tag = "exact" if ref is not None else "companion"
-        d_norm = est_d.log_value / psi if est_d.log_value != _NEG_INF else _NEG_INF
-        i_norm = est_i.log_value / psi if est_i.log_value != _NEG_INF else _NEG_INF
         rows.append(
             _estimate_row(
                 T, p, psi, est_d,
-                ref if ref is not None else i_norm,
+                ref if ref is not None else _normalized(est_i.log_value, psi),
                 f"event={event.kind};method=direct;ref={ref_tag};z={z:.2f};{verdict}",
             )
         )
         rows.append(
             _estimate_row(
                 T, p, psi, est_i,
-                ref if ref is not None else d_norm,
+                ref if ref is not None else _normalized(est_d.log_value, psi),
                 f"event={event.kind};method=importance;ref={ref_tag};z={z:.2f};{verdict}",
             )
         )
-    return Table(
-        columns=RESULT_COLUMNS,
-        rows=tuple(rows),
-        meta={"config": config.to_dict(), "seed": config.seed},
-    )
+    return _table(config, RESULT_COLUMNS, rows)
 
 
 def run_level_cross_scan(config: ExperimentConfig) -> Table:
@@ -711,8 +673,8 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
     tail within 3 binomial standard errors.
     """
     _require_exact_law(config.model, "the level-cross scan")
-    scaling = _require_scaling(config, "the level-cross scan")
-    a, _ = _require_scan_targets(config, "the level-cross scan")
+    scaling = _require(config, "scaling", "the level-cross scan")
+    a = _require(config, "a", "the level-cross scan")
     model = config.model
     predicted = -level_crossing_rate(a, model.l)
     rows = []
@@ -721,22 +683,8 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
         if not math.isfinite(p):
             raise PreconditionError(f"phi({T}) too large for an integer tail bound")
         psi = normalizer(scaling, T)
-        lo = math.ceil(a * p)
-        raw = poisson_exact_log_tail(model.P, model.Q, T, lo)
-        rows.append(
-            ResultRow(
-                T=T,
-                phi=p,
-                psi=psi,
-                log_prob=raw,
-                normalized=raw / psi,
-                predicted=predicted,
-                rel_se=0.0,
-                n_hits=0,
-                max_weight_share=0.0,
-                flag="exact;anchor=terminal_tail",
-            ).astuple()
-        )
+        raw = poisson_exact_log_tail(model.P, model.Q, T, math.ceil(a * p))
+        rows.append(_exact_row(T, p, psi, raw, predicted, "exact;anchor=terminal_tail"))
     if config.mc_check_T is not None:
         T0 = config.mc_check_T
         n0 = config.mc_check_n
@@ -758,11 +706,7 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
                 f"mc_sup;dominates_tail_{'ok' if dominates else 'fail'}",
             )
         )
-    return Table(
-        columns=RESULT_COLUMNS,
-        rows=tuple(rows),
-        meta={"config": config.to_dict(), "seed": config.seed},
-    )
+    return _table(config, RESULT_COLUMNS, rows)
 
 
 def run_simulate(config: ExperimentConfig, process: str = "xi") -> Table:
@@ -786,16 +730,12 @@ def run_simulate(config: ExperimentConfig, process: str = "xi") -> Table:
             x += s
             rows.append((T, t, x))
         rows.append((T, T, x))
-    return Table(
-        columns=("T", "t", "state"),
-        rows=tuple(rows),
-        meta={"config": config.to_dict(), "seed": config.seed},
-    )
+    return _table(config, ("T", "t", "state"), rows)
 
 
 def run_rate_eval(config: ExperimentConfig, profile: PiecewiseFunction) -> Table:
     """Evaluate the configured regime's rate functional on a profile."""
-    scaling = _require_scaling(config, "rate evaluation")
+    scaling = _require(config, "scaling", "rate evaluation")
     model = config.model
     regime = scaling.regime
     if regime == "SUB":
@@ -805,10 +745,10 @@ def run_rate_eval(config: ExperimentConfig, profile: PiecewiseFunction) -> Table
     else:
         value = rate_super(profile, model.l)
     plus_end = left_limit_at_one(jordan_decompose(profile).plus)
-    return Table(
-        columns=("regime", "rate_value", "integral_f", "fplus_end"),
-        rows=((regime, value, integral(profile), plus_end),),
-        meta={"config": config.to_dict(), "seed": config.seed},
+    return _table(
+        config,
+        ("regime", "rate_value", "integral_f", "fplus_end"),
+        [(regime, value, integral(profile), plus_end)],
     )
 
 
@@ -829,9 +769,10 @@ def _fmt_cell(v) -> str:
 def emit_results(table: Table, fmt: str) -> str:
     """Serialize a table; CSV is the bare data section, JSON adds the config echo.
 
-    Minus infinity is written as the literal "-inf" in both formats
-    (JSON has no float infinities).  Output contains nothing run-dependent,
-    so equal tables give equal bytes.
+    Infinities are written as the literals "inf" and "-inf" in both
+    formats; JSON has no float infinities, so there they are strings.
+    Output contains nothing run-dependent, so equal tables give equal
+    bytes.
     """
     if not table.rows:
         raise PreconditionError("refusing to emit an empty table")
@@ -844,7 +785,7 @@ def emit_results(table: Table, fmt: str) -> str:
         payload = {
             "columns": list(table.columns),
             "rows": [
-                [("-inf" if v == _NEG_INF and not isinstance(v, str) else v) for v in row]
+                [(_fmt_cell(v) if isinstance(v, float) and math.isinf(v) else v) for v in row]
                 for row in table.rows
             ],
             "config": table.meta.get("config"),
@@ -857,8 +798,8 @@ def emit_results(table: Table, fmt: str) -> str:
 def _parse_cell(column: str, text_or_value):
     if column in _STR_COLUMNS:
         return str(text_or_value)
-    if isinstance(text_or_value, str) and text_or_value == "-inf":
-        return _NEG_INF
+    if isinstance(text_or_value, str) and text_or_value in ("inf", "-inf"):
+        return float(text_or_value)
     if column in _INT_COLUMNS:
         return int(text_or_value)
     return float(text_or_value)

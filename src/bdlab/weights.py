@@ -44,6 +44,7 @@ __all__ = [
     "log_density",
     "importance_estimate",
     "direct_estimate",
+    "terminal_states",
     "agreement_z",
 ]
 
@@ -240,21 +241,27 @@ def _direct_chunk(args) -> list[float]:
     return out
 
 
-def _run_chunks(worker, common, n: int, threads: int) -> list[float]:
+def _terminal_chunk(args) -> list[int]:
+    """Terminal states for one block of chain replicas."""
+    model, T, seed, start, stop = args
+    return [simulate_xi(model, T, RngStream(seed, r)).final_state() for r in range(start, stop)]
+
+
+def _run_chunks(worker, common, n: int, threads: int) -> list:
     """Map a chunk worker over replicas 0..n-1, serial or in processes.
 
     Chunk boundaries are fixed by _CHUNK alone and results are
     concatenated in chunk order, so the output is identical for any
-    thread count.
+    thread count.  No more workers start than there are chunks.
     """
     spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
     arg_list = [common + span for span in spans]
-    out: list[float] = []
+    out: list = []
     if threads <= 0 or len(spans) == 1:
         for args in arg_list:
             out.extend(worker(args))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
             for part in pool.map(worker, arg_list):
                 out.extend(part)
     return out
@@ -329,6 +336,15 @@ def direct_estimate(
         raise PreconditionError(f"n must be >= 1, got {n}")
     logw = _run_chunks(_direct_chunk, (model, T, phi_of_T, event, seed), n, threads)
     return _estimate_from_logw(logw)
+
+
+def terminal_states(
+    model: RateModel, T: float, n: int, seed: int, threads: int = 0
+) -> list[int]:
+    """Final states of n chain replicas at time T; replica r uses substream (seed, r)."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    return _run_chunks(_terminal_chunk, (model, T, seed), n, threads)
 
 
 def agreement_z(e1: Estimate, e2: Estimate) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,35 @@ def test_config_value_validation_becomes_config_error():
         ExperimentConfig.from_dict(config_dict(samples="many"))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(config_dict(model={"kind": "gaussian"}))
+    # counts take JSON integers (or integral floats), float keys JSON numbers
+    for bad in (
+        dict(seed=2026.7),
+        dict(seed="12"),
+        dict(seed=True),
+        dict(samples=2.5),
+        dict(samples=[2.5]),
+        dict(samples=True),
+        dict(threads=True),
+        dict(threads=1.5),
+        dict(mc_check={"T": 1.0, "n": 2.5}),
+        dict(mc_check={"T": "1.0", "n": 10}),
+        dict(t_grid=["1.0"]),
+        dict(a="0.5"),
+        dict(a=True),
+        dict(a=float("inf")),
+        dict(t_grid=[float("nan")]),
+        dict(model={"kind": "canonical", "P": "1", "Q": 1.0, "l": 0.0}),
+        dict(model={"kind": "table", "entries": [[1.0, False]]}),
+        dict(model={"kind": "table", "path": 5}),
+        dict(out=7),
+        dict(scaling={"family": "exponential", "k": True}),
+        dict(event={"kind": "level_cross", "a": "0.5"}),
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(config_dict(**bad))
+    cfg = ExperimentConfig.from_dict(config_dict(samples=1e5, seed=12.0, threads=2))
+    assert cfg.samples == (100000,) and type(cfg.samples[0]) is int
+    assert cfg.seed == 12 and type(cfg.seed) is int
 
 
 def test_config_load_errors(tmp_path):
@@ -147,6 +177,62 @@ def test_config_table_model_via_relative_path(tmp_path):
     cfg = ExperimentConfig.load(str(cfg_file))
     assert cfg.model.kind == "table"
     assert cfg.model.table == ((1.0, 0.0), (1.0, 1.0), (1.0, 2.0))
+
+
+RATE_ENTRIES = [[1.0, 0.0], [2.0, 1.5], [0.5, 3.0]]
+STEP = {"mode": "step", "points": [[0.0, 0.0], [0.5, 1.0]]}
+RAMP = {"mode": "linear", "points": [[0.0, 0.0], [1.0, 1.0]]}
+NEIGHBORHOOD = ["kind", "eps", "profile"]
+
+
+@pytest.mark.parametrize(
+    "part, value, order",
+    [
+        ("model", {"kind": "canonical", "P": 2.0, "Q": 1.0, "l": 0.5}, ["kind", "P", "Q", "l"]),
+        ("model", {"kind": "table", "entries": RATE_ENTRIES}, ["kind", "entries"]),
+        ("model", {"kind": "table", "path": "rates.json"}, ["kind", "entries"]),
+        ("scaling", {"family": "poly", "alpha": 1.5}, ["family", "alpha"]),
+        ("scaling", {"family": "exponential", "k": 2.0}, ["family", "k"]),
+        ("scaling", {"family": "superexp", "k": 1.0, "beta": 2.0}, ["family", "k", "beta"]),
+        ("event", {"kind": "full_space"}, ["kind"]),
+        ("event", {"kind": "level_cross", "a": 0.5}, ["kind", "a"]),
+        ("event", {"kind": "terminal_window", "lo": 0.1, "hi": 0.2}, ["kind", "lo", "hi"]),
+        ("event", {"kind": "neighborhood", "eps": 0.3, "profile": STEP}, NEIGHBORHOOD),
+        ("event", {"kind": "neighborhood", "eps": 0.3, "profile": "ramp.json"}, NEIGHBORHOOD),
+    ],
+)
+def test_schema_round_trip_keeps_key_order(tmp_path, part, value, order):
+    (tmp_path / "rates.json").write_text(json.dumps(RATE_ENTRIES), encoding="utf-8")
+    (tmp_path / "ramp.json").write_text(json.dumps(RAMP), encoding="utf-8")
+    cfg = ExperimentConfig.from_dict(config_dict(**{part: value}), base_dir=str(tmp_path))
+    echo = cfg.to_dict()
+    assert ExperimentConfig.from_dict(echo) == cfg
+    # the JSON output's config echo is written in this key order
+    assert list(echo[part]) == order
+    # a file reference is echoed inline
+    if "path" in value:
+        assert echo[part]["entries"] == RATE_ENTRIES
+    if isinstance(value.get("profile"), str):
+        assert echo[part]["profile"] == RAMP
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in CONFIG_DIR.glob("*.json") if p.name != "ramp_profile.json"),
+    ids=lambda p: p.name,
+)
+def test_shipped_configs_round_trip(path):
+    cfg = ExperimentConfig.load(str(path))
+    echo = cfg.to_dict()
+    assert ExperimentConfig.from_dict(echo) == cfg
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    for part in ("model", "scaling", "event"):
+        if part in raw:
+            assert echo[part] == raw[part]
+            assert list(echo[part]) == list(raw[part])
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +577,15 @@ def make_result_table(with_inf=False) -> Table:
                 rel_se=0.0, n_hits=0, max_weight_share=0.0, flag="empty_window",
             ).astuple()
         )
+        # a Monte Carlo row without hits carries no information: rel_se = +inf
+        rows.append(
+            ResultRow(
+                T=3.0, phi=20.085536923187668, psi=60.256610769563004,
+                log_prob=float("-inf"), normalized=float("-inf"), predicted=-0.5,
+                rel_se=float("inf"), n_hits=0, max_weight_share=0.0,
+                flag="mc_sup;dominates_tail_fail",
+            ).astuple()
+        )
     cfg = ExperimentConfig.from_dict(config_dict())
     return Table(
         columns=RESULT_COLUMNS,
@@ -506,6 +601,7 @@ def test_emit_parse_csv_round_trip():
     assert lines[0] == ",".join(RESULT_COLUMNS)
     assert text.endswith("\n")
     assert "-inf" in lines[2]
+    assert lines[3].split(",")[6] == "inf"
     back = parse_results(text, "csv")
     assert back.columns == table.columns
     assert back.rows == table.rows  # repr round-trip keeps every bit
@@ -515,9 +611,14 @@ def test_emit_parse_csv_round_trip():
 def test_emit_parse_json_round_trip():
     table = make_result_table(with_inf=True)
     text = emit_results(table, "json")
-    payload = json.loads(text)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(text, parse_constant=reject)
     assert payload["columns"] == list(RESULT_COLUMNS)
     assert payload["rows"][1][3] == "-inf"
+    assert payload["rows"][2][6] == "inf"
     assert payload["seed"] == 7
     back = parse_results(text, "json")
     assert back.rows == table.rows

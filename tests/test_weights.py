@@ -23,6 +23,7 @@ from bdlab.weights import (
     functional_B,
     importance_estimate,
     log_density,
+    terminal_states,
     _importance_chunk,
 )
 
@@ -299,6 +300,32 @@ def test_estimator_determinism_and_chunk_independence():
     assert serial == again
     other_seed = importance_estimate(UNIT, 3.0, 2.0, event, 9000, 72, threads=0)
     assert other_seed != serial
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr("bdlab.weights.ProcessPoolExecutor", SerialPool)
+    # 8193 replicas make three 4096-replica chunks
+    pooled = terminal_states(UNIT, 0.5, 8193, 5, threads=64)
+    assert started == [3]
+    assert pooled == terminal_states(UNIT, 0.5, 8193, 5, threads=0)
+    assert len(pooled) == 8193 and all(type(x) is int and x >= 0 for x in pooled)
 
 
 def test_agreement_z_conventions():
