@@ -324,11 +324,12 @@ def profile_from_dict(d: dict) -> PiecewiseFunction:
     step mode: each pair is (segment start, segment value); the final
     segment implicitly runs to t = 1, so no pair has t = 1.
     linear mode: pairs are the interpolation nodes and must span 0 to 1.
+    Coordinates must be finite JSON numbers, as config float keys are.
     """
     _check_keys(d, required=("mode", "points"), where="profile")
     mode = d["mode"]
     try:
-        pts = [(float(t), float(v)) for t, v in d["points"]]
+        pts = [(_number(t), _number(v)) for t, v in d["points"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"profile points must be (t, value) pairs: {exc}")
     if not pts:

@@ -9,8 +9,10 @@ change-of-measure estimators in weights.py.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "RateModel",
     "Trajectory",
     "RngStream",
+    "replica_streams",
     "birth_rate",
     "death_rate",
     "total_rate",
@@ -173,10 +176,16 @@ class RngStream:
     SeedSequence entropy mix of the pair.  The mix is a fixed, documented
     function: identical pairs reproduce identical draws bit for bit, and
     distinct replica indices give statistically independent streams.
+
+    seed_words, when set, must be SeedSequence((seed, replica_index))
+    .generate_state(4, np.uint64); replica_streams fills it from one
+    vectorised pass per block of replicas, and generator() then skips
+    the per-replica SeedSequence.  It takes no part in == or repr.
     """
 
     seed: int
     replica_index: int = 0
+    seed_words: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2**64):
@@ -187,9 +196,109 @@ class RngStream:
             )
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.replica_index)))
-        )
+        if self.seed_words is None:
+            key = np.random.SeedSequence((self.seed, self.replica_index))
+        else:
+            key = _seed_words_type()(self.seed_words)
+        return np.random.Generator(np.random.PCG64(key))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """PCG64's seed source for precomputed SeedSequence output.
+
+    Built on first use: its base class lives in numpy.random, which
+    importing bdlab does not load, so exact-only runs never pay for it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("_words",)
+
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise PreconditionError("precomputed seed words serve only 4 uint64 words")
+            return self._words
+
+    return SeedWords
+
+
+# numpy SeedSequence constants (bit_generator.pyx, after M. E. O'Neill's
+# seed_seq_fe); every product and difference below wraps modulo 2**32
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL = 4
+# replicas whose seed words are derived in one pass (the estimators' chunk)
+_WORDS_BLOCK = 4096
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows SeedSequence((seed, r)).generate_state(4, np.uint64), r in start..stop-1.
+
+    A straight port of SeedSequence's mix_entropy and generate_state to
+    uint32 arrays, one lane per replica.  The entropy of the pair is the
+    little-endian uint32 words of seed, then those of r.  It never
+    exceeds the four-word pool for seed, r < 2**64, and running out of
+    entropy hashes zeros, so r's words are written as (low, high) and
+    the pool is zero-padded.  The hash constants advance the same way in
+    every lane, so they stay Python ints.
+    """
+    n = stop - start
+    r = np.uint64(start) + np.arange(n, dtype=np.uint64)
+    seed_part = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_part]
+    entropy += [(r & np.uint64(_MASK32)).astype(np.uint32), (r >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed = hashmix(pool[src])
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # pairs of uint32 words, low word first, joined by shifts: no byte-order view
+    words = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(_POOL)]
+    return np.stack(words, axis=1)
+
+
+def replica_streams(seed: int, start: int, stop: int) -> Iterator[RngStream]:
+    """RngStream(seed, r) for r in start..stop-1, seed words derived per block.
+
+    Each stream equals RngStream(seed, r) and draws the same bits; its
+    SeedSequence words come from one vectorised pass over a block of
+    _WORDS_BLOCK replicas instead of one SeedSequence per replica.
+    Indices at or above 2**64 keep the per-replica SeedSequence.
+    """
+    RngStream(seed, start)  # validate the pair before deriving any words
+    for lo in range(start, stop, _WORDS_BLOCK):
+        hi = min(lo + _WORDS_BLOCK, stop)
+        rows = _seed_words(seed, lo, hi) if hi <= 2**64 else [None] * (hi - lo)
+        for r, words in zip(range(lo, hi), rows):
+            yield RngStream(seed, r, words)
 
 
 class _BlockDraws:

@@ -257,7 +257,12 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
     discarded mass far beyond double resolution.  The number of terms
     does not grow with the position of the window, only with its reach
     into the bulk of the law.  An empty integer window gives -inf; a
-    window that needs a state above 2**53 is refused.
+    window that needs a state above 2**53 is refused, and so is the full
+    support when the mode lies there.  Otherwise the full support
+    (lo <= 0, hi = inf) is exactly 0.0 without a sum, and no window
+    exceeds 0.0: each pmf term subtracts numbers of size x*ln a(T), so
+    at large a(T) a near-full window would otherwise read their rounding
+    error above 0.
     """
     if math.isnan(lo) or math.isnan(hi):
         raise PreconditionError(f"window bounds must be numbers, got [{lo}, {hi}]")
@@ -267,6 +272,8 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
     start = min(max(math.floor(a), lo), hi)
     if start > _MAX_STATE:
         raise PreconditionError(f"the window sum needs states above 2**53 ({start:g})")
+    if lo == 0 and hi == math.inf:
+        return 0.0
     start = math.ceil(start) if start == lo else math.floor(start)
     terms: list[float] = []
     peak = float("-inf")
@@ -280,7 +287,7 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
             if lp < peak - 60.0:
                 break
             x += step
-    return _log_sum_exp(terms) if terms else float("-inf")
+    return min(_log_sum_exp(terms), 0.0) if terms else float("-inf")
 
 
 def poisson_exact_log_tail(P: float, Q: float, T: float, lo: int) -> float:

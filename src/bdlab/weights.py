@@ -25,11 +25,11 @@ from .errors import PreconditionError
 from .paths import PiecewiseFunction, l1_distance, scale_path
 from .process import (
     RateModel,
-    RngStream,
     Trajectory,
     birth_rate,
     death_rate,
     in_path_space,
+    replica_streams,
     simulate_xi,
     simulate_zeta,
     total_rate,
@@ -222,8 +222,8 @@ def _importance_chunk(args) -> list[float]:
     """Log weights for one contiguous block of importance replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
     out: list[float] = []
-    for r in range(start, stop):
-        traj = simulate_zeta(T, RngStream(seed, r))
+    for stream in replica_streams(seed, start, stop):
+        traj = simulate_zeta(T, stream)
         if not in_path_space(traj) or not event.occurs(traj, T, phi_of_T):
             out.append(_NEG_INF)
         else:
@@ -235,8 +235,8 @@ def _direct_chunk(args) -> list[float]:
     """Log indicator weights (0 or -inf) for one block of direct replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
     out: list[float] = []
-    for r in range(start, stop):
-        traj = simulate_xi(model, T, RngStream(seed, r))
+    for stream in replica_streams(seed, start, stop):
+        traj = simulate_xi(model, T, stream)
         out.append(0.0 if event.occurs(traj, T, phi_of_T) else _NEG_INF)
     return out
 
@@ -244,7 +244,7 @@ def _direct_chunk(args) -> list[float]:
 def _terminal_chunk(args) -> list[int]:
     """Terminal states for one block of chain replicas."""
     model, T, seed, start, stop = args
-    return [simulate_xi(model, T, RngStream(seed, r)).final_state() for r in range(start, stop)]
+    return [simulate_xi(model, T, s).final_state() for s in replica_streams(seed, start, stop)]
 
 
 def _run_chunks(worker, common, n: int, threads: int) -> list:

@@ -180,6 +180,21 @@ def test_rate_eval_profile_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+NON_NUMERIC_PROFILE = {"mode": "linear", "points": [["0", True], [1.0, "1e0"]]}
+
+
+def test_profiles_accept_only_finite_numbers(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MARGINAL_CFG)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(NON_NUMERIC_PROFILE), encoding="utf-8")
+    assert main(["rate-eval", "--config", cfg, "--profile", str(profile)]) == 2
+    for center in ("profile.json", NON_NUMERIC_PROFILE):
+        event = {"kind": "neighborhood", "eps": 0.3, "profile": center}
+        cfg = write_cfg(tmp_path, dict(CONSISTENCY_CFG, event=event))
+        assert main(["consistency-check", "--config", cfg]) == 2
+    assert "finite number" in capsys.readouterr().err
+
+
 def timed_main(argv):
     start = time.perf_counter()
     code = main(argv)

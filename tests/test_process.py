@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bdlab.errors import PreconditionError
+from bdlab.harness import derive_seed
 from bdlab.process import (
     RateModel,
     RngStream,
@@ -11,6 +12,7 @@ from bdlab.process import (
     birth_rate,
     death_rate,
     in_path_space,
+    replica_streams,
     simulate_xi,
     simulate_zeta,
     total_rate,
@@ -222,3 +224,51 @@ def test_simulate_rejects_bad_horizon():
         simulate_zeta(-1.0, RngStream(0, 0))
     with pytest.raises(PreconditionError):
         simulate_zeta(math.inf, RngStream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# vectorised substream seeding
+
+WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(2026, 3, i) for i in range(3)]
+WORD_SPANS = [
+    (0, 8300),  # three 4096-replica blocks
+    (4000, 4200),  # across the first chunk boundary, as a mid-chunk span
+    (2**32 - 2100, 2**32 + 2100),  # r gains a second uint32 word
+    (2**64 - 100, 2**64),  # the largest indices with a vectorised row
+]
+
+
+def test_replica_stream_words_equal_seed_sequence():
+    checked = 0
+    for seed in WORD_SEEDS:
+        for start, stop in WORD_SPANS:
+            streams = list(replica_streams(seed, start, stop))
+            assert streams == [RngStream(seed, r) for r in range(start, stop)]
+            got = np.array([s.seed_words for s in streams])
+            want = np.array([
+                np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
+                for r in range(start, stop)
+            ])
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+            checked += len(streams)
+    assert checked >= 10**5
+
+
+def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
+    streams = list(replica_streams(9, 2**64 - 2, 2**64 + 2))
+    assert all(s.seed_words is None for s in streams)
+    assert streams[-1].generator().random() == RngStream(9, 2**64 + 1).generator().random()
+    with pytest.raises(PreconditionError):
+        list(replica_streams(2**64, 0, 3))
+    with pytest.raises(PreconditionError):
+        list(replica_streams(0, -1, 3))
+    assert list(replica_streams(0, 5, 5)) == []
+
+
+def test_replica_streams_simulate_the_same_paths():
+    n = 3000
+    xi = [simulate_xi(UNIT, 2.0, s) for s in replica_streams(41, 0, n)]
+    zeta = [simulate_zeta(3.0, s) for s in replica_streams(43, 0, n)]
+    assert xi == [simulate_xi(UNIT, 2.0, RngStream(41, r)) for r in range(n)]
+    assert zeta == [simulate_zeta(3.0, RngStream(43, r)) for r in range(n)]

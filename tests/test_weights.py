@@ -13,6 +13,7 @@ from bdlab.process import (
     simulate_zeta,
     total_rate,
 )
+from bdlab.rates import ScalingFamily, phi
 from bdlab.weights import (
     Estimate,
     EventSpec,
@@ -347,3 +348,26 @@ def test_estimator_rejects_bad_n():
         importance_estimate(UNIT, 1.0, 1.0, EventSpec.full_space(), 0, 1)
     with pytest.raises(PreconditionError):
         direct_estimate(UNIT, 1.0, 1.0, EventSpec.full_space(), -5, 1)
+
+
+def per_replica_streams(seed, start, stop):
+    return (RngStream(seed, r) for r in range(start, stop))
+
+
+def test_estimators_match_a_per_replica_stream_reference(monkeypatch):
+    # 4200 replicas make two chunks, so threads=2 really uses the pool
+    n, T = 4200, 1.0
+    p = phi(ScalingFamily.exponential(1.0), T)
+    window = EventSpec.terminal_window(0.0, 0.5)
+    runs = {
+        "importance": lambda th: importance_estimate(UNIT, T, p, window, n, 71, th),
+        "direct": lambda th: direct_estimate(UNIT, T, p, window, n, 73, th),
+        "terminal": lambda th: terminal_states(UNIT, T, n, 79, th),
+    }
+    with monkeypatch.context() as m:
+        m.setattr("bdlab.weights.replica_streams", per_replica_streams)
+        reference = {name: run(0) for name, run in runs.items()}
+    assert 0 < reference["importance"].n_hits < n
+    assert 0 < reference["direct"].n_hits < n
+    for threads in (0, 2):
+        assert {name: run(threads) for name, run in runs.items()} == reference
