@@ -145,35 +145,53 @@ def scale_path(traj: Trajectory, T: float, phi_of_T: float) -> PiecewiseFunction
     return PiecewiseFunction(tuple(bps), tuple(vals), "step")
 
 
-def _segment_endpoints(f: PiecewiseFunction, u: float, v: float) -> tuple[float, float]:
-    """Values of f at u and v, both taken on the single segment covering [u, v]."""
-    i = f.segment_index(u)
-    if f.mode == "step":
-        val = f.values[i]
-        return val, val
-    t0, t1 = f.breakpoints[i], f.breakpoints[i + 1]
-    w_u = (u - t0) / (t1 - t0)
-    w_v = (v - t0) / (t1 - t0)
-    a, b = f.values[i], f.values[i + 1]
-    return a * (1.0 - w_u) + b * w_u, a * (1.0 - w_v) + b * w_v
-
-
-def _merged_grid(f: PiecewiseFunction, g: PiecewiseFunction) -> list[float]:
-    return sorted(set(f.breakpoints) | set(g.breakpoints))
-
-
 def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
     """rho(f, g) = integral of |f - g| over [0, 1], exact.
 
-    On each merged-grid segment the difference is affine; if it changes
-    sign inside the segment the integral splits at the interior root, so
-    no quadrature error enters.
+    One merge walks both breakpoint lists with a pointer into each, so
+    the cost is linear in their total length; a breakpoint the two share
+    is one grid point.  On each merged-grid segment [u, v] both functions
+    sit on a single segment of their own, so the difference is affine;
+    if it changes sign inside [u, v] the integral splits at the interior
+    root, so no quadrature error enters.  The pieces are summed exactly.
     """
-    grid = _merged_grid(f, g)
+    fb, fvals, f_step = f.breakpoints, f.values, f.mode == "step"
+    gb, gvals, g_step = g.breakpoints, g.values, g.mode == "step"
     pieces: list[float] = []
-    for u, v in zip(grid, grid[1:]):
-        fu, fv = _segment_endpoints(f, u, v)
-        gu, gv = _segment_endpoints(g, u, v)
+    i = j = 0
+    u = 0.0
+    # a linear value at u is recomputed only where its segment starts;
+    # elsewhere it is the previous piece's value at v, the same expression
+    f_moved = g_moved = True
+    fv = gv = 0.0
+    while True:
+        f1 = fb[i + 1]
+        g1 = gb[j + 1]
+        v = f1 if f1 < g1 else g1
+        if f_step:
+            fu = fv = fvals[i]
+        else:
+            f0 = fb[i]
+            a, b = fvals[i], fvals[i + 1]
+            if f_moved:
+                w = (u - f0) / (f1 - f0)
+                fu = a * (1.0 - w) + b * w
+            else:
+                fu = fv
+            w = (v - f0) / (f1 - f0)
+            fv = a * (1.0 - w) + b * w
+        if g_step:
+            gu = gv = gvals[j]
+        else:
+            g0 = gb[j]
+            a, b = gvals[j], gvals[j + 1]
+            if g_moved:
+                w = (u - g0) / (g1 - g0)
+                gu = a * (1.0 - w) + b * w
+            else:
+                gu = gv
+            w = (v - g0) / (g1 - g0)
+            gv = a * (1.0 - w) + b * w
         du = fu - gu
         dv = fv - gv
         width = v - u
@@ -183,7 +201,13 @@ def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
             # affine difference crosses zero at fraction r of the segment
             r = du / (du - dv)
             pieces.append((abs(du) * r + abs(dv) * (1.0 - r)) * 0.5 * width)
-    return math.fsum(pieces)
+        if v == 1.0:
+            return math.fsum(pieces)
+        f_moved = f1 == v
+        g_moved = g1 == v
+        i += f_moved
+        j += g_moved
+        u = v
 
 
 def integral(f: PiecewiseFunction) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,60 +291,72 @@ def replica_streams(seed: int, start: int, stop: int) -> Iterator[RngStream]:
     Each stream equals RngStream(seed, r) and draws the same bits; its
     SeedSequence words come from one vectorised pass over a block of
     _WORDS_BLOCK replicas instead of one SeedSequence per replica.
-    Indices at or above 2**64 keep the per-replica SeedSequence.
+    Indices at or above 2**64 keep the per-replica SeedSequence.  The
+    pair (seed, start) is validated once; every later index is larger,
+    so each stream is built without rerunning RngStream's checks.
     """
     RngStream(seed, start)  # validate the pair before deriving any words
+    new = object.__new__
     for lo in range(start, stop, _WORDS_BLOCK):
         hi = min(lo + _WORDS_BLOCK, stop)
         rows = _seed_words(seed, lo, hi) if hi <= 2**64 else [None] * (hi - lo)
         for r, words in zip(range(lo, hi), rows):
-            yield RngStream(seed, r, words)
+            stream = new(RngStream)
+            fields = stream.__dict__
+            fields["seed"] = seed
+            fields["replica_index"] = r
+            fields["seed_words"] = words
+            yield stream
 
 
-class _BlockDraws:
-    """Sequential exponential/uniform draws fetched in blocks."""
+def _jump_path(
+    gen: np.random.Generator, T: float, rates_at: Callable[[int], tuple[float, float]]
+) -> Trajectory:
+    """Event-driven path from state 0 on [0, T], shared by simulate_xi and simulate_zeta.
 
-    __slots__ = ("_gen", "_exp", "_uni", "_ei", "_ui")
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._exp: list[float] = []
-        self._uni: list[float] = []
-        self._ei = 0
-        self._ui = 0
-
-    def exponential(self) -> float:
-        if self._ei >= len(self._exp):
-            self._exp = self._gen.standard_exponential(_BLOCK).tolist()
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return v
-
-    def uniform(self) -> float:
-        if self._ui >= len(self._uni):
-            self._uni = self._gen.random(_BLOCK).tolist()
-            self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return v
-
-
-def _advance(draws: _BlockDraws, t: float, rate: float, horizon: float) -> float:
-    """Next jump epoch after t for an exponential(rate) holding time.
-
-    Zero draws and increments that would not move t forward in floating
-    point are rejected and redrawn, so jump times stay strictly
-    increasing.  Returns a value > t (possibly beyond horizon, which the
-    caller treats as "no further jump").
+    rates_at(x) gives (eta, p_up) at state x: the holding time there is
+    exponential with rate eta, and the jump is up iff a uniform draw is
+    below p_up.  Draws come from gen in blocks of _BLOCK, exponentials
+    and uniforms each fetched when their last block runs out.  An
+    exponential draw dt whose t + dt/eta does not move t forward in
+    floating point (a zero draw among them) is drawn again, so jump
+    times stay strictly increasing.  rates_at is called on entering each
+    state, before its holding time is drawn, so it may raise for a state
+    the path reaches.
     """
+    exps: list[float] = []
+    unis: list[float] = []
+    ei = ui = 0
+    t = 0.0
+    x = 0
+    times: list[float] = []
+    signs: list[int] = []
+    eta, p_up = rates_at(0)
     while True:
-        dt = draws.exponential()
-        if dt == 0.0:
-            continue
-        t_next = t + dt / rate
-        if t_next > t:
-            return t_next
+        while True:
+            if ei == len(exps):
+                exps = gen.standard_exponential(_BLOCK).tolist()
+                ei = 0
+            t_next = t + exps[ei] / eta
+            ei += 1
+            if t_next > t:
+                break
+        t = t_next
+        if t >= T:
+            break
+        if ui == len(unis):
+            unis = gen.random(_BLOCK).tolist()
+            ui = 0
+        if unis[ui] < p_up:
+            x += 1
+            signs.append(1)
+        else:
+            x -= 1
+            signs.append(-1)
+        ui += 1
+        times.append(t)
+        eta, p_up = rates_at(x)
+    return Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
 
 
 def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
@@ -353,7 +365,8 @@ def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
     At state x the holding time is exponential with rate eta(x) and the
     jump is up with probability lambda(x)/eta(x).  At x = 0 that
     probability is 1 (mu(0) = 0), so the walk can never leave the
-    nonnegative integers.
+    nonnegative integers.  Each state's (eta, lambda/eta) is computed
+    once per path, on its first visit.
     """
     if not (T > 0 and math.isfinite(T)):
         raise PreconditionError(f"T must be positive, got {T}")
@@ -362,43 +375,31 @@ def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
             "simulation requires mu(0) = 0; this table model has mu(0) = "
             f"{death_rate(model, 0)}"
         )
-    draws = _BlockDraws(stream.generator())
-    t = 0.0
-    x = 0
-    times: list[float] = []
-    signs: list[int] = []
-    while True:
+    # x moves by one per jump from 0 and never goes negative, so a state
+    # not yet in the list is always the next one to append
+    known: list[tuple[float, float]] = []
+
+    def rates_at(x: int) -> tuple[float, float]:
+        if x < len(known):
+            return known[x]
         lam = birth_rate(model, x)
         eta = lam + death_rate(model, x)
-        t = _advance(draws, t, eta, T)
-        if t >= T:
-            break
         # u < lam/eta is exact at x=0: lam/eta == 1.0 and u < 1 always
-        if draws.uniform() < lam / eta:
-            x += 1
-            signs.append(1)
-        else:
-            x -= 1
-            signs.append(-1)
-        times.append(t)
-    return Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
+        known.append((eta, lam / eta))
+        return known[x]
+
+    return _jump_path(stream.generator(), T, rates_at)
+
+
+def _zeta_rates(x: int) -> tuple[float, float]:
+    return 1.0, 0.5
 
 
 def simulate_zeta(T: float, stream: RngStream) -> Trajectory:
     """Reference walk on [0, T]: unit-rate jump epochs, fair +-1 signs."""
     if not (T > 0 and math.isfinite(T)):
         raise PreconditionError(f"T must be positive, got {T}")
-    draws = _BlockDraws(stream.generator())
-    t = 0.0
-    times: list[float] = []
-    signs: list[int] = []
-    while True:
-        t = _advance(draws, t, 1.0, T)
-        if t >= T:
-            break
-        signs.append(1 if draws.uniform() < 0.5 else -1)
-        times.append(t)
-    return Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
+    return _jump_path(stream.generator(), T, _zeta_rates)
 
 
 def in_path_space(traj: Trajectory) -> bool:

@@ -284,3 +284,117 @@ def test_plus_end_monotone_under_increment_inflation(f, eighths):
     end1 = left_limit_at_one(jordan_decompose(f).plus)
     end2 = left_limit_at_one(jordan_decompose(f2).plus)
     assert end2 >= end1 - TOL
+
+
+# ---------------------------------------------------------------------------
+# the two-pointer L1 merge against the sorted-set grid it replaced
+
+
+def _reference_endpoints(f, u, v):
+    i = f.segment_index(u)
+    if f.mode == "step":
+        val = f.values[i]
+        return val, val
+    t0, t1 = f.breakpoints[i], f.breakpoints[i + 1]
+    w_u = (u - t0) / (t1 - t0)
+    w_v = (v - t0) / (t1 - t0)
+    a, b = f.values[i], f.values[i + 1]
+    return a * (1.0 - w_u) + b * w_u, a * (1.0 - w_v) + b * w_v
+
+
+def _reference_l1(f, g):
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pieces = []
+    for u, v in zip(grid, grid[1:]):
+        fu, fv = _reference_endpoints(f, u, v)
+        gu, gv = _reference_endpoints(g, u, v)
+        du = fu - gu
+        dv = fv - gv
+        width = v - u
+        if du * dv >= 0.0:
+            pieces.append(abs(du + dv) * 0.5 * width)
+        else:
+            r = du / (du - dv)
+            pieces.append((abs(du) * r + abs(dv) * (1.0 - r)) * 0.5 * width)
+    return math.fsum(pieces)
+
+
+_INNER = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_REALS = st.floats(min_value=-50.0, max_value=50.0)
+
+
+def _draw_function(draw, mode, inner):
+    bps = tuple([0.0] + sorted(inner) + [1.0])
+    n = len(bps) - 1 if mode == "step" else len(bps)
+    return PiecewiseFunction(bps, tuple(draw(st.lists(_REALS, min_size=n, max_size=n))), mode)
+
+
+@st.composite
+def sharing_pair(draw):
+    """A step/step, step/linear or linear/linear pair on float breakpoints,
+    some of them shared."""
+    modes = draw(st.sampled_from([("step", "step"), ("step", "linear"), ("linear", "linear")]))
+    shared = set(draw(st.lists(_INNER, max_size=4)))
+    own = [shared | set(draw(st.lists(_INNER, max_size=8))) for _ in modes]
+    f, g = (_draw_function(draw, mode, inner) for mode, inner in zip(modes, own))
+    return f, g
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sharing_pair())
+def test_l1_merge_equals_sorted_grid_reference(fg):
+    f, g = fg
+    assert l1_distance(f, g) == _reference_l1(f, g)
+    assert l1_distance(g, f) == _reference_l1(g, f)
+
+
+@st.composite
+def colliding_scaled_path(draw):
+    """A trajectory with runs of jump times one ulp apart, some in the last
+    ulps below the horizon, so that scaled times collide after t / T; with
+    phi and a step or linear center that may share the path's breakpoints.
+
+    (A valid jump time t < T never rounds up to t / T == 1.0: the quotient
+    is at most 1 - 2**-53, so runs just below T are as close as it gets.)"""
+    T = draw(st.sampled_from([0.1, 3.0, 7.0, 10.0]))
+    times = set()
+    for t in draw(st.lists(st.floats(min_value=0.0, max_value=T, exclude_min=True,
+                                     exclude_max=True), max_size=12)):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            if 0.0 < t < T:
+                times.add(t)
+            t = math.nextafter(t, math.inf)
+    t = T
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        t = math.nextafter(t, 0.0)
+        times.add(t)
+    times = sorted(times)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(times), max_size=len(times)))
+    traj = Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
+    phi = draw(st.sampled_from([1.0, 3.0, 7.0]))
+    path = scale_path(traj, T, phi)
+    inner = path.breakpoints[1:-1]
+    pick = st.sampled_from(inner) | _INNER if inner else _INNER
+    mode = draw(st.sampled_from(["step", "linear"]))
+    center = _draw_function(draw, mode, set(draw(st.lists(pick, max_size=4))))
+    return traj, phi, center
+
+
+@settings(max_examples=600, deadline=None)
+@given(colliding_scaled_path())
+def test_l1_merge_on_colliding_scaled_paths_equals_reference(case):
+    traj, phi, center = case
+    path = scale_path(traj, traj.horizon, phi)
+    assert l1_distance(path, center) == _reference_l1(path, center)
+    assert l1_distance(center, path) == _reference_l1(center, path)
+
+
+def test_l1_merge_on_simulated_paths_equals_reference():
+    model = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+    centers = [PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)),
+               PiecewiseFunction.step((0.0, 0.5, 1.0), (0.2, 0.6)),
+               PiecewiseFunction.linear((0.0, 0.25, 1.0), (0.0, 0.9, 0.1))]
+    for r in range(300):
+        path = scale_path(simulate_xi(model, 10.0, RngStream(47, r)), 10.0, 10.0)
+        for center in centers:
+            assert l1_distance(path, center) == _reference_l1(path, center)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,9 +267,213 @@ def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
     assert list(replica_streams(0, 5, 5)) == []
 
 
+def test_replica_streams_are_frozen_rng_streams():
+    for r, stream in zip(range(10, 13), replica_streams(5, 10, 13)):
+        assert type(stream) is RngStream
+        assert stream == RngStream(5, r)
+        assert repr(stream) == repr(RngStream(5, r))
+        assert hash(stream) == hash(RngStream(5, r))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stream.seed = 1
+
+
 def test_replica_streams_simulate_the_same_paths():
     n = 3000
     xi = [simulate_xi(UNIT, 2.0, s) for s in replica_streams(41, 0, n)]
     zeta = [simulate_zeta(3.0, s) for s in replica_streams(43, 0, n)]
     assert xi == [simulate_xi(UNIT, 2.0, RngStream(41, r)) for r in range(n)]
     assert zeta == [simulate_zeta(3.0, RngStream(43, r)) for r in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the shared jump kernel against the block-draw loops it replaced
+
+
+class _ReferenceDraws:
+    def __init__(self, gen):
+        self._gen = gen
+        self._exp = []
+        self._uni = []
+        self._ei = 0
+        self._ui = 0
+
+    def exponential(self):
+        if self._ei >= len(self._exp):
+            self._exp = self._gen.standard_exponential(128).tolist()
+            self._ei = 0
+        v = self._exp[self._ei]
+        self._ei += 1
+        return v
+
+    def uniform(self):
+        if self._ui >= len(self._uni):
+            self._uni = self._gen.random(128).tolist()
+            self._ui = 0
+        v = self._uni[self._ui]
+        self._ui += 1
+        return v
+
+
+def _reference_advance(draws, t, rate):
+    while True:
+        dt = draws.exponential()
+        if dt == 0.0:
+            continue
+        t_next = t + dt / rate
+        if t_next > t:
+            return t_next
+
+
+def _reference_xi(model, T, stream):
+    draws = _ReferenceDraws(stream.generator())
+    t, x = 0.0, 0
+    times, signs = [], []
+    while True:
+        lam = birth_rate(model, x)
+        eta = lam + death_rate(model, x)
+        t = _reference_advance(draws, t, eta)
+        if t >= T:
+            break
+        if draws.uniform() < lam / eta:
+            x += 1
+            signs.append(1)
+        else:
+            x -= 1
+            signs.append(-1)
+        times.append(t)
+    return tuple(times), tuple(signs)
+
+
+def _reference_zeta(T, stream):
+    draws = _ReferenceDraws(stream.generator())
+    t = 0.0
+    times, signs = [], []
+    while True:
+        t = _reference_advance(draws, t, 1.0)
+        if t >= T:
+            break
+        signs.append(1 if draws.uniform() < 0.5 else -1)
+        times.append(t)
+    return tuple(times), tuple(signs)
+
+
+class _Recording:
+    """A stream whose generator logs every draw call it serves."""
+
+    def __init__(self, stream, log):
+        self._stream = stream
+        self._log = log
+
+    def generator(self):
+        gen = self._stream.generator()
+        log = self._log
+
+        class Gen:
+            def standard_exponential(self, size):
+                log.append(("exp", size))
+                return gen.standard_exponential(size)
+
+            def random(self, size):
+                log.append(("uni", size))
+                return gen.random(size)
+
+        return Gen()
+
+
+def _jumps(traj):
+    return traj.jump_times, traj.jump_signs
+
+
+KERNEL_TABLE = RateModel(
+    kind="table",
+    table=tuple((1.0 + 0.5 * math.sin(x), 0.0 if x == 0 else 0.7 * x) for x in range(80)),
+)
+KERNEL_MODELS = [
+    (RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0), 4.0),
+    (RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5), 10.0),
+    (RateModel(kind="canonical", P=20.0, Q=1.0, l=0.0), 1.5),
+    (KERNEL_TABLE, 5.0),
+]
+
+
+@pytest.mark.parametrize("model,T", KERNEL_MODELS)
+def test_jump_kernel_xi_equals_block_draw_reference(model, T):
+    jumps = 0
+    for r, stream in enumerate(replica_streams(61, 0, 2000)):
+        got = _jumps(simulate_xi(model, T, stream))
+        assert got == _reference_xi(model, T, RngStream(61, r))
+        jumps += len(got[1])
+    assert jumps > 2000
+    # the same draw calls in the same order, so traced draw blocks agree
+    for r in range(20):
+        new_log, ref_log = [], []
+        simulate_xi(model, T, _Recording(RngStream(61, r), new_log))
+        _reference_xi(model, T, _Recording(RngStream(61, r), ref_log))
+        assert new_log == ref_log
+
+
+def test_jump_kernel_zeta_equals_block_draw_reference():
+    for T in (3.0, 200.0):
+        for r, stream in enumerate(replica_streams(67, 0, 2000 if T < 100 else 200)):
+            got = _jumps(simulate_zeta(T, stream))
+            assert got == _reference_zeta(T, RngStream(67, r))
+        new_log, ref_log = [], []
+        simulate_zeta(T, _Recording(RngStream(67, 0), new_log))
+        _reference_zeta(T, _Recording(RngStream(67, 0), ref_log))
+        assert new_log == ref_log
+
+
+def test_jump_kernel_raises_where_the_table_runs_out():
+    short = RateModel(kind="table", table=((2.0, 0.0), (2.0, 1.0), (2.0, 1.0), (2.0, 1.5)))
+    messages = []
+    for r in range(2000):
+        try:
+            want = _reference_xi(short, 4.0, RngStream(71, r))
+        except PreconditionError as exc:
+            want = str(exc)
+            messages.append(want)
+        try:
+            got = _jumps(simulate_xi(short, 4.0, RngStream(71, r)))
+        except PreconditionError as exc:
+            got = str(exc)
+        assert got == want
+    assert 100 < len(messages) < 1900
+    assert set(messages) == {"state 4 outside rate table (size 4)"}
+
+
+class _FixedStream:
+    """A stream that is its own generator: every block it serves starts
+    with the given draws, padded to full size with the last of them."""
+
+    def __init__(self, exps, unis):
+        self._exps = exps
+        self._unis = unis
+
+    def generator(self):
+        return self
+
+    def standard_exponential(self, size):
+        return np.array((self._exps + self._exps[-1:] * size)[:size])
+
+    def random(self, size):
+        return np.array((self._unis + self._unis[-1:] * size)[:size])
+
+
+@pytest.mark.parametrize(
+    "exps,T",
+    [
+        # a zero draw is drawn again
+        ([0.0, 0.4, 0.0, 0.0, 0.3, 5.0], 2.0),
+        # at t = 1e20 a draw of 1.0 does not move t and is drawn again
+        ([1e20, 1.0, 2.0, 1e21, 1e30], 1e25),
+    ],
+)
+def test_jump_kernel_redraws_like_the_reference(exps, T):
+    unis = [0.25, 0.75, 0.1]
+    for model in (UNIT, KERNEL_TABLE):
+        got = _jumps(simulate_xi(model, T, _FixedStream(exps, unis)))
+        assert got == _reference_xi(model, T, _FixedStream(exps, unis))
+        assert len(got[0]) >= 2
+    got = _jumps(simulate_zeta(T, _FixedStream(exps, unis)))
+    assert got == _reference_zeta(T, _FixedStream(exps, unis))
+    assert len(got[0]) >= 2
