@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .process import Trajectory
+from .process import Trajectory, _unvalidated
 
 __all__ = [
     "PiecewiseFunction",
@@ -128,12 +128,27 @@ def scale_path(traj: Trajectory, T: float, phi_of_T: float) -> PiecewiseFunction
         raise PreconditionError(
             f"trajectory horizon {traj.horizon} does not match T = {T}"
         )
+    _check_phi(phi_of_T)
+    return _scaled_steps(traj.initial_state, traj.jump_times, traj.jump_signs, T, phi_of_T)
+
+
+def _check_phi(phi_of_T: float) -> None:
     if not (phi_of_T > 0 and math.isfinite(phi_of_T)):
         raise PreconditionError(f"phi_of_T must be positive, got {phi_of_T}")
+
+
+def _scaled_steps(x0: int, times, signs, T: float, phi_of_T: float) -> PiecewiseFunction:
+    """scale_path of the path from x0 with these jumps on [0, T], for a
+    positive finite phi_of_T and times in (0, T).
+
+    Breakpoints start at 0.0, grow strictly and end at 1.0, with one
+    finite value per segment, so the function is built without
+    PiecewiseFunction's checks.
+    """
     bps = [0.0]
-    vals = [traj.initial_state / phi_of_T]
-    x = traj.initial_state
-    for t, s in zip(traj.jump_times, traj.jump_signs):
+    vals = [x0 / phi_of_T]
+    x = x0
+    for t, s in zip(times, signs):
         x += s
         b = t / T
         if b <= bps[-1] or b >= 1.0:
@@ -142,7 +157,7 @@ def scale_path(traj: Trajectory, T: float, phi_of_T: float) -> PiecewiseFunction
             bps.append(b)
             vals.append(x / phi_of_T)
     bps.append(1.0)
-    return PiecewiseFunction(tuple(bps), tuple(vals), "step")
+    return _unvalidated(PiecewiseFunction, breakpoints=tuple(bps), values=tuple(vals), mode="step")
 
 
 def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:

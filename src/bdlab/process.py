@@ -10,6 +10,7 @@ change-of-measure estimators in weights.py.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ __all__ = [
 
 # draws fetched from the generator per block; amortizes numpy call overhead
 _BLOCK = 128
+# replicas the lockstep walker advances together; bounds its block arrays
+_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,35 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1)
 
 
+def _replica_words(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | None]]:
+    """(r, SeedSequence((seed, r)) words) for r in start..stop-1.
+
+    The pair (seed, start) is validated before any words are derived;
+    every later index is larger, so no other pair needs checking.  Words
+    come from one vectorised pass per block of _WORDS_BLOCK replicas;
+    indices at or above 2**64 get None and keep the per-replica
+    SeedSequence.
+    """
+    RngStream(seed, start)
+    return _word_rows(seed, start, stop)
+
+
+def _word_rows(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | None]]:
+    for lo in range(start, stop, _WORDS_BLOCK):
+        hi = min(lo + _WORDS_BLOCK, stop)
+        rows = _seed_words(seed, lo, hi) if hi <= 2**64 else [None] * (hi - lo)
+        yield from zip(range(lo, hi), rows)
+
+
+def _unvalidated(cls: type, **fields):
+    """An instance of the frozen dataclass cls holding fields, built
+    without running its __post_init__ checks; for values that already
+    meet them by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def replica_streams(seed: int, start: int, stop: int) -> Iterator[RngStream]:
     """RngStream(seed, r) for r in start..stop-1, seed words derived per block.
 
@@ -292,21 +324,11 @@ def replica_streams(seed: int, start: int, stop: int) -> Iterator[RngStream]:
     SeedSequence words come from one vectorised pass over a block of
     _WORDS_BLOCK replicas instead of one SeedSequence per replica.
     Indices at or above 2**64 keep the per-replica SeedSequence.  The
-    pair (seed, start) is validated once; every later index is larger,
-    so each stream is built without rerunning RngStream's checks.
+    pair (seed, start) is validated once, so each stream is built
+    without rerunning RngStream's checks.
     """
-    RngStream(seed, start)  # validate the pair before deriving any words
-    new = object.__new__
-    for lo in range(start, stop, _WORDS_BLOCK):
-        hi = min(lo + _WORDS_BLOCK, stop)
-        rows = _seed_words(seed, lo, hi) if hi <= 2**64 else [None] * (hi - lo)
-        for r, words in zip(range(lo, hi), rows):
-            stream = new(RngStream)
-            fields = stream.__dict__
-            fields["seed"] = seed
-            fields["replica_index"] = r
-            fields["seed_words"] = words
-            yield stream
+    for r, words in _replica_words(seed, start, stop):
+        yield _unvalidated(RngStream, seed=seed, replica_index=r, seed_words=words)
 
 
 def _jump_path(
@@ -322,7 +344,8 @@ def _jump_path(
     floating point (a zero draw among them) is drawn again, so jump
     times stay strictly increasing.  rates_at is called on entering each
     state, before its holding time is drawn, so it may raise for a state
-    the path reaches.
+    the path reaches.  Times in (0, T) and signs of +-1 are what
+    Trajectory checks, so the path is built without rechecking them.
     """
     exps: list[float] = []
     unis: list[float] = []
@@ -356,7 +379,31 @@ def _jump_path(
         ui += 1
         times.append(t)
         eta, p_up = rates_at(x)
-    return Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
+    return _unvalidated(
+        Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0
+    )
+
+
+def _check_horizon(T: float) -> None:
+    if not (T > 0 and math.isfinite(T)):
+        raise PreconditionError(f"T must be positive, got {T}")
+
+
+def _check_chain(model: RateModel, T: float) -> None:
+    _check_horizon(T)
+    if death_rate(model, 0) != 0.0:
+        raise PreconditionError(
+            "simulation requires mu(0) = 0; this table model has mu(0) = "
+            f"{death_rate(model, 0)}"
+        )
+
+
+def _state_rates(model: RateModel, x: int) -> tuple[float, float]:
+    """(eta, p_up) of the chain at state x: eta(x) and lambda(x)/eta(x)."""
+    lam = birth_rate(model, x)
+    eta = lam + death_rate(model, x)
+    # u < lam/eta is exact at x=0: lam/eta == 1.0 and u < 1 always
+    return eta, lam / eta
 
 
 def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
@@ -368,38 +415,211 @@ def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
     nonnegative integers.  Each state's (eta, lambda/eta) is computed
     once per path, on its first visit.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise PreconditionError(f"T must be positive, got {T}")
-    if death_rate(model, 0) != 0.0:
-        raise PreconditionError(
-            "simulation requires mu(0) = 0; this table model has mu(0) = "
-            f"{death_rate(model, 0)}"
-        )
+    _check_chain(model, T)
     # x moves by one per jump from 0 and never goes negative, so a state
     # not yet in the list is always the next one to append
     known: list[tuple[float, float]] = []
 
     def rates_at(x: int) -> tuple[float, float]:
-        if x < len(known):
-            return known[x]
-        lam = birth_rate(model, x)
-        eta = lam + death_rate(model, x)
-        # u < lam/eta is exact at x=0: lam/eta == 1.0 and u < 1 always
-        known.append((eta, lam / eta))
+        if x == len(known):
+            known.append(_state_rates(model, x))
         return known[x]
 
     return _jump_path(stream.generator(), T, rates_at)
 
 
-def _zeta_rates(x: int) -> tuple[float, float]:
+def _zeta_rates(x):
+    """(eta, p_up) of the reference walk, for a state or an array of lanes."""
     return 1.0, 0.5
 
 
 def simulate_zeta(T: float, stream: RngStream) -> Trajectory:
     """Reference walk on [0, T]: unit-rate jump epochs, fair +-1 signs."""
-    if not (T > 0 and math.isfinite(T)):
-        raise PreconditionError(f"T must be positive, got {T}")
+    _check_horizon(T)
     return _jump_path(stream.generator(), T, _zeta_rates)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walker: many replicas at once, each on its own stream
+
+
+class _Lanes:
+    """Per-lane results of one lockstep block, in replica order.
+
+    final and peak are the state at T and the largest state visited;
+    jumps counts the jumps made.  below_zero marks lanes that a walk
+    retiring negative lanes stopped at their first negative state (their
+    final and peak are then not meaningful).  When paths are kept, path(i)
+    gives lane i's jumps.
+    """
+
+    __slots__ = ("final", "peak", "jumps", "below_zero", "_start", "_times", "_signs")
+
+    def __init__(self, n: int) -> None:
+        self.final = np.zeros(n, dtype=np.int64)
+        self.peak = np.zeros(n, dtype=np.int64)
+        self.jumps = np.zeros(n, dtype=np.intp)
+        self.below_zero = np.zeros(n, dtype=bool)
+
+    def store_paths(self, steps: list) -> None:
+        """Store the jumps of steps, one (lanes, times, up flags) per
+        step, lane by lane: lane i's k-th jump sits at _start[i] + k."""
+        self._start = np.zeros(self.jumps.size + 1, dtype=np.intp)
+        np.cumsum(self.jumps, out=self._start[1:])
+        self._times = np.empty(self._start[-1])
+        self._signs = np.empty(self._start[-1], dtype=np.int8)
+        for k, (lane, t, up) in enumerate(steps):
+            at = self._start[lane] + k
+            self._times[at] = t
+            self._signs[at] = up
+        self._signs += self._signs
+        self._signs -= 1
+
+    def path(self, i: int) -> tuple[list[float], list[int]]:
+        """Lane i's jump times and signs as Python lists."""
+        lo, hi = self._start[i], self._start[i + 1]
+        return self._times[lo:hi].tolist(), self._signs[lo:hi].tolist()
+
+
+class _ChainRates:
+    """rates_at of the chain for an array of lane states.
+
+    Per-state (eta, p_up) come from _state_rates, the doubles of the
+    single-path kernel, and are added as lanes reach new states; a state
+    the model cannot serve raises when a lane first reaches it.
+    """
+
+    def __init__(self, model: RateModel) -> None:
+        self._model = model
+        self._known: list[tuple[float, float]] = []
+        self._eta = self._p_up = np.empty(0)
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        top = int(x.max())
+        if top >= len(self._known):
+            # lanes move by one state per jump, so states come in order
+            for s in range(len(self._known), top + 1):
+                self._known.append(_state_rates(self._model, s))
+            self._eta, self._p_up = np.array(self._known).T.copy()
+        return self._eta[x], self._p_up[x]
+
+
+def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool) -> _Lanes:
+    """_jump_path for every generator of gens at once, in numpy lockstep.
+
+    Lane i draws from gens[i] exactly what _jump_path draws from it: a
+    row of _BLOCK exponentials at the start and whenever the lane's row
+    runs out, a row of _BLOCK uniforms at its first jump and then every
+    _BLOCK jumps, filled in place with out=, and the same redraw of a
+    holding time that does not move t.  Each step applies _jump_path's
+    arithmetic to every running lane; rates_at maps an array of lane
+    states to their (eta, p_up), arrays or scalars.  A lane retires when
+    its next jump time reaches T, or, with stop_below_zero, at its first
+    negative state (after one more holding time, which draws only from
+    its own generator).
+    """
+    n = len(gens)
+    exps = np.empty((n, _BLOCK))
+    unis = np.empty((n, _BLOCK))
+    for gen, row in zip(gens, exps):
+        gen.standard_exponential(out=row)
+    flat_exps, flat_unis = exps.reshape(-1), unis.reshape(-1)
+    out = _Lanes(n)
+    steps = []
+    lane = np.arange(n)
+    base = lane * _BLOCK  # flat index of each running lane's rows
+    epos = base.copy()  # flat index of its next exponential
+    drawn = 0  # at least as many as any running lane has used of its row
+    t = np.zeros(n)
+    x = np.zeros(n, dtype=np.int64)
+    peak = np.zeros(n, dtype=np.int64)
+    eta, p_up = rates_at(x)
+    k = 0  # jumps made by every running lane
+    while True:
+        if drawn == _BLOCK:
+            for j in np.flatnonzero(epos == base + _BLOCK).tolist():
+                gens[lane[j]].standard_exponential(out=exps[lane[j]])
+                epos[j] = base[j]
+            drawn = int((epos - base).max())
+        t_next = t + flat_exps[epos] / eta
+        epos += 1
+        drawn += 1
+        moved = t_next > t
+        if np.count_nonzero(moved) < moved.size:
+            rate = np.broadcast_to(eta, t.shape)
+            for j in np.flatnonzero(~moved).tolist():
+                while not t_next[j] > t[j]:
+                    if epos[j] == base[j] + _BLOCK:
+                        gens[lane[j]].standard_exponential(out=exps[lane[j]])
+                        epos[j] = base[j]
+                    t_next[j] = t[j] + flat_exps[epos[j]] / rate[j]
+                    epos[j] += 1
+            drawn = int((epos - base).max())
+        t = t_next
+        ended = t >= T
+        if stop_below_zero:
+            ended |= x < 0
+        n_ended = np.count_nonzero(ended)
+        if n_ended:
+            done = lane[ended]
+            out.jumps[done] = k
+            out.final[done] = x[ended]
+            out.peak[done] = peak[ended]
+            if stop_below_zero:
+                out.below_zero[done] = x[ended] < 0
+            if n_ended == lane.size:
+                if keep_paths:
+                    out.store_paths(steps)
+                return out
+            running = ~ended
+            lane, base, t, x, peak, epos = (
+                lane[running], base[running], t[running], x[running], peak[running], epos[running]
+            )
+            eta, p_up = rates_at(x)
+        col = k % _BLOCK
+        if col == 0:
+            for i in lane.tolist():
+                gens[i].random(out=unis[i])
+        up = flat_unis[base + col] < p_up
+        x += up
+        x += up
+        x -= 1
+        np.maximum(peak, x, out=peak)
+        if keep_paths:
+            steps.append((lane, t, up))
+        k += 1
+        eta, p_up = rates_at(x)
+
+
+def _lane_blocks(words, seed: int, T: float, rates_at, keep_paths: bool,
+                 stop_below_zero: bool) -> Iterator[_Lanes]:
+    """_walk_lanes over blocks of _LANES replicas, each on its own PCG64
+    built from its seed words (or SeedSequence((seed, r)) past 2**64)."""
+    seed_words = _seed_words_type()
+    Generator, PCG64, SeedSequence = np.random.Generator, np.random.PCG64, np.random.SeedSequence
+    while block := list(itertools.islice(words, _LANES)):
+        # the generators live only as long as their walk
+        yield _walk_lanes(
+            [Generator(PCG64(SeedSequence((seed, r)) if w is None else seed_words(w)))
+             for r, w in block],
+            T, rates_at, keep_paths, stop_below_zero,
+        )
+
+
+def _xi_lanes(model: RateModel, T: float, seed: int, start: int, stop: int,
+              keep_paths: bool) -> Iterator[_Lanes]:
+    """Chain replicas start..stop-1 on substreams (seed, r), _LANES at a time."""
+    words = _replica_words(seed, start, stop)
+    _check_chain(model, T)
+    return _lane_blocks(words, seed, T, _ChainRates(model), keep_paths, False)
+
+
+def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
+    """Reference-walk replicas start..stop-1 with paths, each stopped at
+    its first negative state, _LANES at a time."""
+    words = _replica_words(seed, start, stop)
+    _check_horizon(T)
+    return _lane_blocks(words, seed, T, _zeta_rates, True, True)
 
 
 def in_path_space(traj: Trajectory) -> bool:

@@ -22,16 +22,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .paths import PiecewiseFunction, l1_distance, scale_path
+from .paths import PiecewiseFunction, _check_phi, _scaled_steps, l1_distance, scale_path
 from .process import (
     RateModel,
     Trajectory,
+    _Lanes,
+    _xi_lanes,
+    _zeta_lanes,
     birth_rate,
     death_rate,
     in_path_space,
-    replica_streams,
-    simulate_xi,
-    simulate_zeta,
+    replica_streams,  # noqa: F401  (still bound here for callers that patch it)
     total_rate,
 )
 
@@ -135,18 +136,35 @@ class EventSpec:
     def occurs(self, traj: Trajectory, T: float, phi_of_T: float) -> bool:
         if self.kind == "full_space":
             return True
+        if self.kind == "neighborhood":
+            return self._near(scale_path(traj, T, phi_of_T))
+        final = traj.final_state()
+        peak = max(traj.states()) if self.kind == "level_cross" else final
+        return self._state_test(final, peak, phi_of_T)
+
+    def _state_test(self, final, peak, phi_of_T: float):
+        """terminal_window or level_cross from the final state and the
+        largest state visited; elementwise on arrays of lanes."""
         if self.kind == "terminal_window":
-            s = traj.final_state() / phi_of_T
-            return self.lo <= s <= self.hi
-        if self.kind == "level_cross":
-            peak = traj.initial_state
-            x = traj.initial_state
-            for sign in traj.jump_signs:
-                x += sign
-                if x > peak:
-                    peak = x
-            return peak / phi_of_T >= self.a
-        return l1_distance(scale_path(traj, T, phi_of_T), self.center) < self.eps
+            s = final / phi_of_T
+            return (self.lo <= s) & (s <= self.hi)
+        return peak / phi_of_T >= self.a
+
+    def _near(self, scaled: PiecewiseFunction) -> bool:
+        return l1_distance(scaled, self.center) < self.eps
+
+    def _lane_hits(self, lanes: _Lanes, T: float, phi_of_T: float) -> list[bool]:
+        """occurs for each lane of a lockstep block that stayed nonnegative;
+        False for the others."""
+        alive = ~lanes.below_zero
+        if self.kind == "full_space":
+            return alive.tolist()
+        if self.kind == "neighborhood":
+            return [
+                a and self._near(_scaled_steps(0, *lanes.path(i), T, phi_of_T))
+                for i, a in enumerate(alive.tolist())
+            ]
+        return (alive & self._state_test(lanes.final, lanes.peak, phi_of_T)).tolist()
 
 
 def count_jumps(traj: Trajectory) -> int:
@@ -161,10 +179,15 @@ def functional_A(model: RateModel, traj: Trajectory) -> float:
     an error here; estimator code screens such paths out (they carry
     zero weight) before ever calling this.
     """
-    x = traj.initial_state
+    return _functional_A(
+        model, traj.initial_state, traj.jump_times, traj.jump_signs, traj.horizon
+    )
+
+
+def _functional_A(model: RateModel, x: int, times, signs, horizon: float) -> float:
     t_prev = 0.0
     terms: list[float] = []
-    for t, s in zip(traj.jump_times, traj.jump_signs):
+    for t, s in zip(times, signs):
         if x < 0:
             raise PreconditionError("eta undefined for negative states")
         terms.append(total_rate(model, x) * (t - t_prev))
@@ -172,7 +195,7 @@ def functional_A(model: RateModel, traj: Trajectory) -> float:
         t_prev = t
     if x < 0:
         raise PreconditionError("eta undefined for negative states")
-    terms.append(total_rate(model, x) * (traj.horizon - t_prev))
+    terms.append(total_rate(model, x) * (horizon - t_prev))
     return math.fsum(terms)
 
 
@@ -184,9 +207,12 @@ def functional_B(model: RateModel, traj: Trajectory) -> float:
     simulatable model, so its log weight is -inf and the whole value is
     -inf (the path is unreachable for the chain).
     """
-    x = traj.initial_state
+    return _functional_B(model, traj.initial_state, traj.jump_signs)
+
+
+def _functional_B(model: RateModel, x: int, signs) -> float:
     terms: list[float] = []
-    for s in traj.jump_signs:
+    for s in signs:
         if x < 0:
             raise PreconditionError("rates undefined for negative states")
         nu = birth_rate(model, x) if s > 0 else death_rate(model, x)
@@ -206,11 +232,16 @@ def log_density(model: RateModel, traj: Trajectory) -> float:
     """
     if not in_path_space(traj):
         raise PreconditionError("log_density needs a path that stays nonnegative")
+    return _log_density(model, traj.jump_times, traj.jump_signs, traj.horizon)
+
+
+def _log_density(model: RateModel, times, signs, horizon: float) -> float:
+    """log_density of the path from 0 with these jumps, known to stay nonnegative."""
     return (
-        traj.horizon
-        - functional_A(model, traj)
-        + functional_B(model, traj)
-        + count_jumps(traj) * math.log(2.0)
+        horizon
+        - _functional_A(model, 0, times, signs, horizon)
+        + _functional_B(model, 0, signs)
+        + len(signs) * math.log(2.0)
     )
 
 
@@ -222,12 +253,9 @@ def _importance_chunk(args) -> list[float]:
     """Log weights for one contiguous block of importance replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
     out: list[float] = []
-    for stream in replica_streams(seed, start, stop):
-        traj = simulate_zeta(T, stream)
-        if not in_path_space(traj) or not event.occurs(traj, T, phi_of_T):
-            out.append(_NEG_INF)
-        else:
-            out.append(log_density(model, traj))
+    for lanes in _zeta_lanes(T, seed, start, stop):
+        for i, hit in enumerate(event._lane_hits(lanes, T, phi_of_T)):
+            out.append(_log_density(model, *lanes.path(i), T) if hit else _NEG_INF)
     return out
 
 
@@ -235,16 +263,15 @@ def _direct_chunk(args) -> list[float]:
     """Log indicator weights (0 or -inf) for one block of direct replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
     out: list[float] = []
-    for stream in replica_streams(seed, start, stop):
-        traj = simulate_xi(model, T, stream)
-        out.append(0.0 if event.occurs(traj, T, phi_of_T) else _NEG_INF)
+    for lanes in _xi_lanes(model, T, seed, start, stop, event.kind == "neighborhood"):
+        out.extend(0.0 if hit else _NEG_INF for hit in event._lane_hits(lanes, T, phi_of_T))
     return out
 
 
 def _terminal_chunk(args) -> list[int]:
     """Terminal states for one block of chain replicas."""
     model, T, seed, start, stop = args
-    return [simulate_xi(model, T, s).final_state() for s in replica_streams(seed, start, stop)]
+    return [x for lanes in _xi_lanes(model, T, seed, start, stop, False) for x in lanes.final.tolist()]
 
 
 def _run_chunks(worker, common, n: int, threads: int) -> list:
@@ -298,6 +325,12 @@ def _estimate_from_logw(logw: list[float]) -> Estimate:
     )
 
 
+def _check_estimate(n: int, phi_of_T: float) -> None:
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    _check_phi(phi_of_T)
+
+
 def importance_estimate(
     model: RateModel,
     T: float,
@@ -314,8 +347,7 @@ def importance_estimate(
     Deterministic given (seed, n): replica r always uses substream
     (seed, r) regardless of threads.
     """
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _check_estimate(n, phi_of_T)
     logw = _run_chunks(
         _importance_chunk, (model, T, phi_of_T, event, seed), n, threads
     )
@@ -332,8 +364,7 @@ def direct_estimate(
     threads: int = 0,
 ) -> Estimate:
     """Plain Monte Carlo: simulate the chain n times, average the indicator."""
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _check_estimate(n, phi_of_T)
     logw = _run_chunks(_direct_chunk, (model, T, phi_of_T, event, seed), n, threads)
     return _estimate_from_logw(logw)
 

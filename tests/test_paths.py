@@ -398,3 +398,36 @@ def test_l1_merge_on_simulated_paths_equals_reference():
         path = scale_path(simulate_xi(model, 10.0, RngStream(47, r)), 10.0, 10.0)
         for center in centers:
             assert l1_distance(path, center) == _reference_l1(path, center)
+
+
+# ---------------------------------------------------------------------------
+# scale_path builds its step function without rerunning the checks
+
+
+def _validated(f):
+    return PiecewiseFunction(f.breakpoints, f.values, f.mode)
+
+
+@settings(max_examples=600, deadline=None)
+@given(colliding_scaled_path(), st.integers(min_value=-3, max_value=3))
+def test_scale_path_equals_its_validated_rebuild(case, x0):
+    traj, phi, _ = case
+    traj = Trajectory(traj.horizon, traj.jump_times, traj.jump_signs, initial_state=x0)
+    path = scale_path(traj, traj.horizon, phi)
+    assert type(path) is PiecewiseFunction
+    assert path == _validated(path)
+    # each segment holds the state after every jump scaled to or before its start
+    states = traj.states()
+    scaled = [t / traj.horizon for t in traj.jump_times]
+    for b, v in zip(path.breakpoints, path.values):
+        assert v == states[sum(1 for s in scaled if s <= b)] / phi
+
+
+def test_scale_path_of_simulated_paths_equals_its_validated_rebuild():
+    model = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+    for r in range(300):
+        for T, phi in ((10.0, 10.0), (0.5, 3.0)):
+            path = scale_path(simulate_xi(model, T, RngStream(53, r)), T, phi)
+            assert path == _validated(path)
+    with pytest.raises(PreconditionError):
+        scale_path(simulate_xi(model, 1.0, RngStream(53, 0)), 1.0, 0.0)

@@ -7,6 +7,11 @@ import pytest
 from bdlab.errors import PreconditionError
 from bdlab.harness import derive_seed
 from bdlab.process import (
+    _BLOCK,
+    _ChainRates,
+    _jump_path,
+    _walk_lanes,
+    _zeta_rates,
     RateModel,
     RngStream,
     Trajectory,
@@ -477,3 +482,166 @@ def test_jump_kernel_redraws_like_the_reference(exps, T):
     got = _jumps(simulate_zeta(T, _FixedStream(exps, unis)))
     assert got == _reference_zeta(T, _FixedStream(exps, unis))
     assert len(got[0]) >= 2
+
+
+def test_kernel_paths_equal_their_validated_rebuild():
+    for r in range(300):
+        for traj in (simulate_xi(KERNEL_MODELS[1][0], 10.0, RngStream(73, r)),
+                     simulate_zeta(3.0, RngStream(73, r))):
+            assert type(traj) is Trajectory
+            assert traj == Trajectory(traj.horizon, traj.jump_times, traj.jump_signs)
+    with pytest.raises(PreconditionError):
+        Trajectory(horizon=1.0, jump_times=(0.5, 0.5), jump_signs=(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walker against the single-path kernel on the same streams
+
+
+def _chain_rates_at(model):
+    known = []
+
+    def rates_at(x):
+        if x == len(known):
+            lam = birth_rate(model, x)
+            eta = lam + death_rate(model, x)
+            known.append((eta, lam / eta))
+        return known[x]
+
+    return rates_at
+
+
+def _assert_lanes_match_kernel(make_gen, n, T, model=None, stop_below_zero=False):
+    """Walk n lanes together and each lane alone on equal generators."""
+    lane_rates = _zeta_rates if model is None else _ChainRates(model)
+    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, lane_rates, True, stop_below_zero)
+    jumps = 0
+    for i in range(n):
+        rates_at = _zeta_rates if model is None else _chain_rates_at(model)
+        traj = _jump_path(make_gen(i), T, rates_at)
+        times, signs = lanes.path(i)
+        below = not in_path_space(traj)
+        assert lanes.below_zero[i] == (stop_below_zero and below)
+        if lanes.below_zero[i]:
+            # stopped at its first negative state: a prefix of the path
+            k = lanes.jumps[i]
+            assert (times, signs) == (list(traj.jump_times[:k]), list(traj.jump_signs[:k]))
+            assert sum(signs) == -1 and min(np.cumsum(signs)) == -1
+            continue
+        assert (tuple(times), tuple(signs)) == _jumps(traj)
+        assert lanes.final[i] == traj.final_state()
+        assert lanes.peak[i] == max(traj.states())
+        jumps += len(signs)
+    return jumps
+
+
+def _stream_gen(seed):
+    return lambda i: RngStream(seed, i).generator()
+
+
+@pytest.mark.parametrize("model,T", KERNEL_MODELS)
+def test_lanes_equal_kernel_xi(model, T):
+    assert _assert_lanes_match_kernel(_stream_gen(83), 600, T, model) > 600
+
+
+def test_lanes_equal_kernel_zeta():
+    for T in (0.5, 3.0):
+        _assert_lanes_match_kernel(_stream_gen(89), 600, T)
+        _assert_lanes_match_kernel(_stream_gen(89), 600, T, stop_below_zero=True)
+
+
+def test_lanes_run_past_a_block_of_draws():
+    # zeta at T=400 and xi at P=20, T=12 make several hundred jumps a lane,
+    # so every lane refills both its exponential and its uniform row
+    assert _assert_lanes_match_kernel(_stream_gen(97), 12, 400.0) > 12 * 3 * _BLOCK
+    fast = RateModel(kind="canonical", P=20.0, Q=1.0, l=0.0)
+    assert _assert_lanes_match_kernel(_stream_gen(97), 12, 12.0, fast) > 12 * 3 * _BLOCK
+
+
+def test_lanes_raise_where_the_table_runs_out():
+    short = RateModel(kind="table", table=((2.0, 0.0), (2.0, 1.0), (2.0, 1.0), (2.0, 1.5)))
+    messages = {}
+    for r in range(300):
+        try:
+            _jump_path(RngStream(71, r).generator(), 4.0, _chain_rates_at(short))
+        except PreconditionError as exc:
+            messages[r] = str(exc)
+    assert 10 < len(messages) < 290
+    with pytest.raises(PreconditionError) as exc:
+        _walk_lanes([RngStream(71, r).generator() for r in range(300)], 4.0,
+                    _ChainRates(short), False, False)
+    assert str(exc.value) == "state 4 outside rate table (size 4)"
+    assert set(messages.values()) == {str(exc.value)}
+    # the lanes that never leave the table walk on as the kernel does
+    kept = [r for r in range(300) if r not in messages]
+    _assert_lanes_match_kernel(lambda i: RngStream(71, kept[i]).generator(), len(kept), 4.0, short)
+
+
+class _FixedGen:
+    """A generator whose every block starts with the given draws, padded
+    to full size with the last of them; serves both sized and out= calls."""
+
+    def __init__(self, exps, unis):
+        self._exps = exps
+        self._unis = unis
+
+    @staticmethod
+    def _block(draws, size, out):
+        values = (draws + draws[-1:] * _BLOCK)[: _BLOCK if out is None else out.size]
+        if out is None:
+            return np.array(values[:size])
+        out[:] = values
+        return out
+
+    def standard_exponential(self, size=None, out=None):
+        return self._block(self._exps, size, out)
+
+    def random(self, size=None, out=None):
+        return self._block(self._unis, size, out)
+
+
+# a zero draw, draws that do not move t = 1e20, and (second) blocks in
+# which one draw moves t and the other 127 stall, so that each jump
+# redraws across a refill of the row; every pattern ends by T = 5e20
+FIXED_DRAWS = [
+    ([0.0, 0.4, 0.0, 0.0, 0.3, 5.0, 1e21], [0.25, 0.75, 0.1]),
+    ([1e20] + [1.0] * 127, [0.9, 0.2]),
+    ([1e20, 1.0, 2.0, 1e21, 1e30], [0.25, 0.75, 0.1]),
+    ([0.3, 0.3, 1e21], [0.6]),
+]
+
+
+@pytest.mark.parametrize("T", [2.0, 5e20])
+def test_lanes_redraw_like_the_kernel(T):
+    # lanes that stall and lanes that never do share one lockstep walk
+    draws = FIXED_DRAWS * 3
+    make = lambda i: _FixedGen(*draws[i])  # noqa: E731
+    for model in (UNIT, KERNEL_TABLE, None):
+        _assert_lanes_match_kernel(make, len(draws), T, model)
+    lanes = _walk_lanes([make(i) for i in range(len(draws))], T, _zeta_rates, True, False)
+    assert lanes.jumps[1] == (4 if T > 1e20 else 0)
+
+
+def test_lanes_that_redrew_refill_their_own_rows():
+    # every row of the first pattern starts with three stalls, so its lane
+    # runs ahead of the lanes that never stall and needs each new row
+    # three steps before them
+    draws = [([0.0, 0.0, 0.0] + [0.01] * 125, [0.6]), ([0.01], [0.6])] * 3
+    make = lambda i: _FixedGen(*draws[i])  # noqa: E731
+    for model in (UNIT, KERNEL_TABLE, None):
+        assert _assert_lanes_match_kernel(make, len(draws), 3.0, model) > len(draws) * 2 * _BLOCK
+
+
+def test_draws_into_rows_equal_sized_draws():
+    rows = np.empty((5, _BLOCK))
+    for r in range(2000):
+        into, sized = RngStream(101, r).generator(), RngStream(101, r).generator()
+        into.standard_exponential(out=rows[0])
+        into.random(out=rows[1])
+        into.standard_exponential(out=rows[2])
+        into.standard_exponential(out=rows[3])
+        into.random(out=rows[4])
+        want = [sized.standard_exponential(_BLOCK), sized.random(_BLOCK),
+                sized.standard_exponential(_BLOCK), sized.standard_exponential(_BLOCK),
+                sized.random(_BLOCK)]
+        assert np.array_equal(rows, np.array(want))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -25,7 +26,10 @@ from bdlab.weights import (
     importance_estimate,
     log_density,
     terminal_states,
+    _direct_chunk,
     _importance_chunk,
+    _run_chunks,
+    _terminal_chunk,
 )
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
@@ -371,3 +375,98 @@ def test_estimators_match_a_per_replica_stream_reference(monkeypatch):
     assert 0 < reference["direct"].n_hits < n
     for threads in (0, 2):
         assert {name: run(threads) for name, run in runs.items()} == reference
+
+
+# ---------------------------------------------------------------------------
+# the v1 stream: per-replica outputs pinned bit for bit
+
+PIN_MODEL = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+PIN_EVENTS = [
+    EventSpec.full_space(),
+    EventSpec.terminal_window(0.0, 0.5),
+    EventSpec.level_cross(1.0),
+    EventSpec.neighborhood(PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.5)), 0.6),
+]
+# sha256 of the comma-joined float.hex of each replica's log weight (and
+# of the comma-joined terminal states), recorded on the per-replica
+# engine that simulated one Trajectory per replica; seeds 83 + event index
+V1_PINS = {
+    "importance": [
+        "9e1ddb6304cdf7effa15f15e3c3e64d024da5587a4929538690b2c95f164c066",
+        "f5851e95571dea259f37f48b9504a62f6154c7540e52192e3cec177933d10119",
+        "9a40c1b65045fe23f027d84f9d67d098f4858ecec1dccd71ae939fa27f753010",
+        "60a6de98e6249a3f54e9767f476e07bd24eba9964aa99a4dcd86da107dac842e",
+    ],
+    "direct": [
+        "02d225cec1c042d5d09d78ddeb72822a76667c8ca39d1bb1e3d607ab0f5b7b57",
+        "f16a9f6f0ffb8644fb6918c3bb7c4d21777156dd4d23b0a6ab5c17f64af11b4f",
+        "5974a55b74d86a2d4184bb64c3bf48b99895edce5ccc943b20c6a684cd99c978",
+        "34992ae7f03c0be44d7b88a346260559aeacec4b19366cbbaf3dd94cbb463826",
+    ],
+    "terminal": {
+        "unit": "f8f7f0f0789ef534e797641fda17ad871e45a699ad270b55a40ffa54f91ce7e0",
+        "chain": "5a909c1ae57aab22910e5b96912d3c075638a306a5b7a3a8d621e45a9e44c594",
+    },
+}
+
+
+def _digest(values):
+    text = ",".join(v.hex() if isinstance(v, float) else str(v) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_v1_stream_pin(threads):
+    # 4200 replicas: two chunks, so threads=2 sends them to the pool
+    n = 4200
+    for worker, name in ((_importance_chunk, "importance"), (_direct_chunk, "direct")):
+        for i, event in enumerate(PIN_EVENTS):
+            logw = _run_chunks(worker, (PIN_MODEL, 2.0, 2.0, event, 83 + i), n, threads)
+            assert len(logw) == n
+            assert _digest(logw) == V1_PINS[name][i], (name, event.kind)
+    for model, name in ((UNIT, "unit"), (PIN_MODEL, "chain")):
+        finals = terminal_states(model, 2.0, n, 89, threads)
+        assert all(type(x) is int for x in finals)
+        assert _digest(finals) == V1_PINS["terminal"][name]
+
+
+def _reference_log_weight(model, T, p, event, stream):
+    traj = simulate_zeta(T, stream)
+    if in_path_space(traj) and event.occurs(traj, T, p):
+        return log_density(model, traj)
+    return NEG_INF
+
+
+@pytest.mark.parametrize("event", PIN_EVENTS, ids=lambda e: e.kind)
+def test_chunks_equal_the_public_per_replica_functions(event):
+    # a span that starts mid-way and crosses two lane blocks
+    seed, start, stop = 101, 4000, 4600
+    for model, T, p in ((PIN_MODEL, 2.0, 2.0), (UNIT, 3.0, 2.5)):
+        streams = [RngStream(seed, r) for r in range(start, stop)]
+        want = [_reference_log_weight(model, T, p, event, s) for s in streams]
+        assert _importance_chunk((model, T, p, event, seed, start, stop)) == want
+        assert 0 < sum(w != NEG_INF for w in want) < len(want) or event.kind == "full_space"
+        want = [0.0 if event.occurs(simulate_xi(model, T, s), T, p) else NEG_INF for s in streams]
+        assert _direct_chunk((model, T, p, event, seed, start, stop)) == want
+        finals = terminal_states(model, T, stop, seed)[start:]
+        assert finals == [simulate_xi(model, T, s).final_state() for s in streams]
+
+
+def test_chunks_past_two_to_the_64_keep_seed_sequence():
+    start, stop = 2**64 - 3, 2**64 + 3
+    want = [simulate_xi(UNIT, 2.0, RngStream(9, r)).final_state() for r in range(start, stop)]
+    assert _terminal_chunk((UNIT, 2.0, 9, start, stop)) == want
+    window = EventSpec.terminal_window(0.0, 1.0)
+    want = [_reference_log_weight(UNIT, 2.0, 1.0, window, RngStream(9, r)) for r in range(start, stop)]
+    assert _importance_chunk((UNIT, 2.0, 1.0, window, 9, start, stop)) == want
+    for seed, start in ((2**64, 0), (0, -1)):
+        with pytest.raises(PreconditionError):
+            _terminal_chunk((UNIT, 2.0, seed, start, start + 3))
+
+
+def test_estimators_refuse_a_bad_phi():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="phi_of_T must be positive"):
+            importance_estimate(UNIT, 1.0, bad, EventSpec.terminal_window(0.0, 1.0), 10, 1)
+        with pytest.raises(PreconditionError, match="phi_of_T must be positive"):
+            direct_estimate(UNIT, 1.0, bad, EventSpec.level_cross(1.0), 10, 1)
