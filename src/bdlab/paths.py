@@ -12,6 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
 from .process import Trajectory, _unvalidated
 
@@ -223,6 +225,89 @@ def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
         i += f_moved
         j += g_moved
         u = v
+
+
+# lanes per array pass of _lane_l1_distances; larger slices hold more
+# temporaries and were slower
+_L1_SLICE = 64
+
+
+def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
+                       center: PiecewiseFunction) -> list[float]:
+    """l1_distance(_scaled_steps(0, times_i, signs_i, T, phi_of_T), center)
+    for every lane i of a lockstep block, bit for bit.
+
+    Lane i's jumps are times[start[i]:start[i+1]] and the signs there;
+    every lane starts at 0.  Raw scaled times never decrease, so a jump
+    opens a breakpoint exactly where it exceeds the previous jump's
+    scaled time (0.0 before a lane's first) and stays below 1.0, as in
+    _scaled_steps; a segment keeps the state before the next opened
+    breakpoint.  Each segment is split at the center's breakpoints that
+    lie strictly inside it, and each piece is l1_distance's piece, with
+    its expressions in its order: a linear center's value at u is the
+    same expression l1_distance reuses from the previous piece.  math.fsum
+    is exact, so each lane's sum does not depend on the order of its pieces.
+    """
+    cb = np.array(center.breakpoints)
+    cv = np.array(center.values)
+    linear = center.mode == "linear"
+    out: list[float] = []
+    for l0 in range(0, len(start) - 1, _L1_SLICE):
+        first = start[l0:l0 + _L1_SLICE + 1]
+        counts = np.diff(first)
+        rel = first - first[0]
+        b = times[first[0]:first[-1]] / T
+        lane = np.repeat(np.arange(counts.size), counts)
+        prev = np.empty_like(b)
+        prev[1:] = b[:-1]
+        prev[rel[:-1][counts > 0]] = 0.0
+        opened = np.flatnonzero((b > prev) & (b < 1.0))
+        # state before each jump and at the end, from the running sum
+        cs = np.zeros(b.size + 1, dtype=np.int64)
+        np.cumsum(signs[first[0]:first[-1]], out=cs[1:])
+        base = cs[rel[:-1]]
+        # lane i's segments sit at seg[i]..seg[i+1]-1, opened ones after its first
+        seg = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(lane[opened], minlength=counts.size) + 1, out=seg[1:])
+        at = np.arange(opened.size) + lane[opened] + 1
+        u0 = np.zeros(seg[-1])
+        u1 = np.ones(seg[-1])
+        u0[at] = u1[at - 1] = b[opened]
+        x = np.empty(seg[-1], dtype=np.int64)
+        x[at - 1] = cs[opened] - base[lane[opened]]
+        x[seg[1:] - 1] = cs[rel[1:]] - base
+        level = x / phi_of_T
+        # split at center breakpoints strictly inside each segment
+        lo = np.searchsorted(cb, u0, "right")
+        splits = np.searchsorted(cb, u1, "left") - lo
+        piece_of = np.zeros(seg[-1] + 1, dtype=np.intp)
+        np.cumsum(splits + 1, out=piece_of[1:])
+        owner = np.repeat(np.arange(seg[-1]), splits + 1)
+        k = np.arange(piece_of[-1]) - piece_of[owner]
+        j = lo[owner] - 1 + k  # the center's segment under each piece
+        u = np.where(k == 0, u0[owner], cb[j])
+        v = np.where(k == splits[owner], u1[owner], cb[j + 1])
+        f = level[owner]
+        if linear:
+            g0, g1, a, bv = cb[j], cb[j + 1], cv[j], cv[j + 1]
+            w = (u - g0) / (g1 - g0)
+            gu = a * (1.0 - w) + bv * w
+            w = (v - g0) / (g1 - g0)
+            gv = a * (1.0 - w) + bv * w
+        else:
+            gu = gv = cv[j]
+        du = f - gu
+        dv = f - gv
+        width = v - u
+        pieces = np.abs(du + dv) * 0.5 * width
+        cross = np.flatnonzero(du * dv < 0.0)
+        du, dv = du[cross], dv[cross]
+        r = du / (du - dv)
+        pieces[cross] = (np.abs(du) * r + np.abs(dv) * (1.0 - r)) * 0.5 * width[cross]
+        ends = piece_of[seg].tolist()
+        pieces = pieces.tolist()
+        out.extend(math.fsum(pieces[p:q]) for p, q in zip(ends, ends[1:]))
+    return out
 
 
 def integral(f: PiecewiseFunction) -> float:

@@ -449,11 +449,12 @@ class _Lanes:
     final and peak are the state at T and the largest state visited;
     jumps counts the jumps made.  below_zero marks lanes that a walk
     retiring negative lanes stopped at their first negative state (their
-    final and peak are then not meaningful).  When paths are kept, path(i)
-    gives lane i's jumps.
+    final and peak are then not meaningful).  When paths are kept, lane
+    i's jumps are times[start[i]:start[i+1]] and the signs there; path(i)
+    gives them as lists.
     """
 
-    __slots__ = ("final", "peak", "jumps", "below_zero", "_start", "_times", "_signs")
+    __slots__ = ("final", "peak", "jumps", "below_zero", "start", "times", "signs")
 
     def __init__(self, n: int) -> None:
         self.final = np.zeros(n, dtype=np.int64)
@@ -463,22 +464,22 @@ class _Lanes:
 
     def store_paths(self, steps: list) -> None:
         """Store the jumps of steps, one (lanes, times, up flags) per
-        step, lane by lane: lane i's k-th jump sits at _start[i] + k."""
-        self._start = np.zeros(self.jumps.size + 1, dtype=np.intp)
-        np.cumsum(self.jumps, out=self._start[1:])
-        self._times = np.empty(self._start[-1])
-        self._signs = np.empty(self._start[-1], dtype=np.int8)
+        step, lane by lane: lane i's k-th jump sits at start[i] + k."""
+        self.start = np.zeros(self.jumps.size + 1, dtype=np.intp)
+        np.cumsum(self.jumps, out=self.start[1:])
+        self.times = np.empty(self.start[-1])
+        self.signs = np.empty(self.start[-1], dtype=np.int8)
         for k, (lane, t, up) in enumerate(steps):
-            at = self._start[lane] + k
-            self._times[at] = t
-            self._signs[at] = up
-        self._signs += self._signs
-        self._signs -= 1
+            at = self.start[lane] + k
+            self.times[at] = t
+            self.signs[at] = up
+        self.signs += self.signs
+        self.signs -= 1
 
     def path(self, i: int) -> tuple[list[float], list[int]]:
         """Lane i's jump times and signs as Python lists."""
-        lo, hi = self._start[i], self._start[i + 1]
-        return self._times[lo:hi].tolist(), self._signs[lo:hi].tolist()
+        lo, hi = self.start[i], self.start[i + 1]
+        return self.times[lo:hi].tolist(), self.signs[lo:hi].tolist()
 
 
 class _ChainRates:

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .paths import PiecewiseFunction, _check_phi, _scaled_steps, l1_distance, scale_path
+from .paths import PiecewiseFunction, _check_phi, _lane_l1_distances, l1_distance, scale_path
 from .process import (
     RateModel,
     Trajectory,
@@ -32,7 +32,6 @@ from .process import (
     birth_rate,
     death_rate,
     in_path_space,
-    replica_streams,  # noqa: F401  (still bound here for callers that patch it)
     total_rate,
 )
 
@@ -160,10 +159,10 @@ class EventSpec:
         if self.kind == "full_space":
             return alive.tolist()
         if self.kind == "neighborhood":
-            return [
-                a and self._near(_scaled_steps(0, *lanes.path(i), T, phi_of_T))
-                for i, a in enumerate(alive.tolist())
-            ]
+            dists = _lane_l1_distances(
+                lanes.start, lanes.times, lanes.signs, T, phi_of_T, self.center
+            )
+            return [a and d < self.eps for a, d in zip(alive.tolist(), dists)]
         return (alive & self._state_test(lanes.final, lanes.peak, phi_of_T)).tolist()
 
 

@@ -9,6 +9,8 @@ from bdlab.errors import PreconditionError
 from bdlab.paths import (
     JordanPair,
     PiecewiseFunction,
+    _lane_l1_distances,
+    _scaled_steps,
     integral,
     jordan_decompose,
     l1_distance,
@@ -17,7 +19,16 @@ from bdlab.paths import (
     scale_path,
     total_variation,
 )
-from bdlab.process import RateModel, RngStream, Trajectory, simulate_xi
+from bdlab.process import (
+    RateModel,
+    RngStream,
+    Trajectory,
+    _Lanes,
+    _xi_lanes,
+    _zeta_lanes,
+    simulate_xi,
+)
+from bdlab.weights import EventSpec
 
 TOL = 1e-12
 
@@ -348,18 +359,12 @@ def test_l1_merge_equals_sorted_grid_reference(fg):
     assert l1_distance(g, f) == _reference_l1(g, f)
 
 
-@st.composite
-def colliding_scaled_path(draw):
-    """A trajectory with runs of jump times one ulp apart, some in the last
-    ulps below the horizon, so that scaled times collide after t / T; with
-    phi and a step or linear center that may share the path's breakpoints.
-
-    (A valid jump time t < T never rounds up to t / T == 1.0: the quotient
-    is at most 1 - 2**-53, so runs just below T are as close as it gets.)"""
-    T = draw(st.sampled_from([0.1, 3.0, 7.0, 10.0]))
+def _colliding_jumps(draw, T, max_size=12):
+    """Increasing jump times in (0, T) with runs one ulp apart and some in
+    the last ulps below T, and a sign for each."""
     times = set()
     for t in draw(st.lists(st.floats(min_value=0.0, max_value=T, exclude_min=True,
-                                     exclude_max=True), max_size=12)):
+                                     exclude_max=True), max_size=max_size)):
         for _ in range(draw(st.integers(min_value=1, max_value=4))):
             if 0.0 < t < T:
                 times.add(t)
@@ -370,6 +375,19 @@ def colliding_scaled_path(draw):
         times.add(t)
     times = sorted(times)
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(times), max_size=len(times)))
+    return times, signs
+
+
+@st.composite
+def colliding_scaled_path(draw):
+    """A trajectory with runs of jump times one ulp apart, some in the last
+    ulps below the horizon, so that scaled times collide after t / T; with
+    phi and a step or linear center that may share the path's breakpoints.
+
+    (A valid jump time t < T never rounds up to t / T == 1.0: the quotient
+    is at most 1 - 2**-53, so runs just below T are as close as it gets.)"""
+    T = draw(st.sampled_from([0.1, 3.0, 7.0, 10.0]))
+    times, signs = _colliding_jumps(draw, T)
     traj = Trajectory(horizon=T, jump_times=tuple(times), jump_signs=tuple(signs))
     phi = draw(st.sampled_from([1.0, 3.0, 7.0]))
     path = scale_path(traj, T, phi)
@@ -431,3 +449,114 @@ def test_scale_path_of_simulated_paths_equals_its_validated_rebuild():
             assert path == _validated(path)
     with pytest.raises(PreconditionError):
         scale_path(simulate_xi(model, 1.0, RngStream(53, 0)), 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a lockstep block's L1 distances against l1_distance of each lane's scaled path
+
+
+def _block(paths):
+    """start, times and signs of a lane block holding these (times, signs)."""
+    start = np.zeros(len(paths) + 1, dtype=np.intp)
+    np.cumsum([len(ts) for ts, _ in paths], out=start[1:])
+    times = np.array([t for ts, _ in paths for t in ts], dtype=float)
+    signs = np.array([s for _, ss in paths for s in ss], dtype=np.int8)
+    return start, times, signs
+
+
+def _per_lane_l1(paths, T, phi, center):
+    return [l1_distance(_scaled_steps(0, ts, ss, T, phi), center) for ts, ss in paths]
+
+
+@st.composite
+def colliding_lane_block(draw):
+    """Lanes of different lengths, some empty, whose scaled times collide,
+    on one T and phi; a step or linear center whose breakpoints may equal
+    lanes' scaled jump times; the lanes repeated so that the block may span
+    several array slices."""
+    T = draw(st.sampled_from([0.1, 2.0, 3.0, 10.0]))
+    phi = draw(st.sampled_from([1.0, 2.5, 7.0]))
+    paths = [_colliding_jumps(draw, T, max_size=draw(st.sampled_from([0, 3, 12])))
+             for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    scaled = sorted({t / T for ts, _ in paths for t in ts} - {0.0, 1.0})
+    pick = st.sampled_from(scaled) | _INNER if scaled else _INNER
+    mode = draw(st.sampled_from(["step", "linear"]))
+    center = _draw_function(draw, mode, set(draw(st.lists(pick, max_size=4))))
+    return paths * draw(st.integers(min_value=1, max_value=40)), T, phi, center
+
+
+@settings(max_examples=400, deadline=None)
+@given(colliding_lane_block())
+def test_lane_l1_equals_l1_distance_of_each_scaled_path(case):
+    paths, T, phi, center = case
+    assert _lane_l1_distances(*_block(paths), T, phi, center) == _per_lane_l1(paths, T, phi, center)
+
+
+def test_lane_l1_hand_cases_equal_l1_distance():
+    T = 0.1
+    below = math.nextafter(T, 0.0)
+    run = [0.03]
+    for _ in range(5):
+        run.append(math.nextafter(run[-1], math.inf))
+    tail = [math.nextafter(math.nextafter(below, 0.0), 0.0), math.nextafter(below, 0.0), below]
+    paths = [
+        ([], []),
+        (run + tail, [1, 1, -1, 1, 1, 1, -1, 1, 1]),
+        ([i / 1000.0 for i in range(1, 100)], [1, -1] * 49 + [1]),
+        ([], []),
+        ([5e-324, 0.02, 0.05], [1, 1, 1]),  # the first scales to 0.0
+        ([0.01, 0.04, 0.07], [-1, -1, 1]),  # a zeta lane below zero
+        ([0.05], [1]),
+    ]
+    # the run and the tail really collide after t / T
+    assert len(_scaled_steps(0, *paths[1], T, 1.0).breakpoints) < len(run + tail) + 2
+    shared = (run[3] / T, 0.05 / T, 0.07 / T)
+    centers = [
+        PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)),
+        PiecewiseFunction.constant(0.5),
+        PiecewiseFunction.step((0.0,) + shared + (1.0,), (0.5, -0.25, 1.5, 0.0)),
+        PiecewiseFunction.linear((0.0,) + shared + (1.0,), (0.0, 2.0, -1.0, 0.5, 0.25)),
+        PiecewiseFunction.linear((0.0, 0.25, 1.0), (1.0, -1.0, 3.0)),
+    ]
+    assert all(s in _scaled_steps(0, *paths[i], T, 1.0).breakpoints
+               for s, i in zip(shared, (1, 6, 5)))
+    for center in centers:
+        for phi in (1.0, 3.0):
+            for block in (paths, paths * 30):  # 210 lanes span several slices
+                want = _per_lane_l1(block, T, phi, center)
+                assert _lane_l1_distances(*_block(block), T, phi, center) == want
+    assert _lane_l1_distances(*_block([([], [])] * 3), T, 1.0, centers[0]) == [0.15] * 3
+    assert _lane_l1_distances(*_block([]), T, 1.0, centers[0]) == []
+
+
+def test_lane_l1_on_simulated_lanes_equals_l1_distance():
+    model = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+    centers = [PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)),
+               PiecewiseFunction.step((0.0, 0.25, 0.6, 1.0), (0.25, 0.75, 0.5)),
+               PiecewiseFunction.linear((0.0, 0.3, 0.7, 1.0), (0.0, 0.75, 0.5, 0.75))]
+    blocks = [(10.0, 10.0, lanes) for lanes in _xi_lanes(model, 10.0, 59, 0, 512, True)]
+    blocks += [(3.0, 2.0, lanes) for lanes in _zeta_lanes(3.0, 59, 0, 512)]
+    assert blocks[-1][2].below_zero.any()
+    for T, phi, lanes in blocks:
+        paths = [lanes.path(i) for i in range(lanes.final.size)]
+        for center in centers:
+            got = _lane_l1_distances(lanes.start, lanes.times, lanes.signs, T, phi, center)
+            assert got == _per_lane_l1(paths, T, phi, center)
+
+
+def test_lane_hits_are_strict_at_a_lanes_exact_distance():
+    T, phi = 2.0, 2.0
+    paths = [([0.5, 1.5], [1, -1]), ([0.25, 1.0, 1.75], [1, 1, -1]), ([0.5], [-1])]
+    lanes = _Lanes(len(paths))
+    lanes.start, lanes.times, lanes.signs = _block(paths)
+    lanes.below_zero[2] = True
+    center = PiecewiseFunction.linear((0.0, 0.5, 1.0), (0.0, 0.75, 0.25))
+    d = _lane_l1_distances(lanes.start, lanes.times, lanes.signs, T, phi, center)
+    assert d == _per_lane_l1(paths, T, phi, center) and d[0] != d[1]
+    for i, eps in enumerate(d[:2]):
+        event = EventSpec.neighborhood(center, eps)
+        assert event._lane_hits(lanes, T, phi) == [x < eps for x in d[:2]] + [False]
+        traj = Trajectory(horizon=T, jump_times=tuple(paths[i][0]), jump_signs=tuple(paths[i][1]))
+        assert not event.occurs(traj, T, phi)
+        wider = EventSpec.neighborhood(center, math.nextafter(eps, math.inf))
+        assert wider._lane_hits(lanes, T, phi)[i]

@@ -27,6 +27,7 @@ from bdlab.weights import (
     log_density,
     terminal_states,
     _direct_chunk,
+    _estimate_from_logw,
     _importance_chunk,
     _run_chunks,
     _terminal_chunk,
@@ -354,29 +355,6 @@ def test_estimator_rejects_bad_n():
         direct_estimate(UNIT, 1.0, 1.0, EventSpec.full_space(), -5, 1)
 
 
-def per_replica_streams(seed, start, stop):
-    return (RngStream(seed, r) for r in range(start, stop))
-
-
-def test_estimators_match_a_per_replica_stream_reference(monkeypatch):
-    # 4200 replicas make two chunks, so threads=2 really uses the pool
-    n, T = 4200, 1.0
-    p = phi(ScalingFamily.exponential(1.0), T)
-    window = EventSpec.terminal_window(0.0, 0.5)
-    runs = {
-        "importance": lambda th: importance_estimate(UNIT, T, p, window, n, 71, th),
-        "direct": lambda th: direct_estimate(UNIT, T, p, window, n, 73, th),
-        "terminal": lambda th: terminal_states(UNIT, T, n, 79, th),
-    }
-    with monkeypatch.context() as m:
-        m.setattr("bdlab.weights.replica_streams", per_replica_streams)
-        reference = {name: run(0) for name, run in runs.items()}
-    assert 0 < reference["importance"].n_hits < n
-    assert 0 < reference["direct"].n_hits < n
-    for threads in (0, 2):
-        assert {name: run(threads) for name, run in runs.items()} == reference
-
-
 # ---------------------------------------------------------------------------
 # the v1 stream: per-replica outputs pinned bit for bit
 
@@ -430,6 +408,38 @@ def test_v1_stream_pin(threads):
         assert _digest(finals) == V1_PINS["terminal"][name]
 
 
+# neighborhood events whose centers have interior breakpoints, so that
+# lane segments are split at them; recorded on the engine that built each
+# lane's scaled path and merged it with the center; seeds 93 + event index
+SPLIT_PIN_EVENTS = [
+    EventSpec.neighborhood(PiecewiseFunction.step((0.0, 0.25, 0.6, 1.0), (0.25, 0.75, 0.5)), 0.4),
+    EventSpec.neighborhood(
+        PiecewiseFunction.linear((0.0, 0.3, 0.7, 1.0), (0.0, 0.75, 0.5, 0.75)), 0.4
+    ),
+]
+SPLIT_PINS = {
+    "importance": [
+        "877fee9fa0af616cbc394339dd12af05abffd733fccbbba8e1ece5be94d4a9f3",
+        "0b86326854d4566bd2395410a6754b6cb6936b6883a0a28716c59dc0e78216d5",
+    ],
+    "direct": [
+        "8f44ea213bf39daf06d60c122d5d9c70ec3471442abac3a33ad65169596fc5f6",
+        "77fb89aa82549e1ac5a4e277e7c671535dcdac4b73e7b4f195d476d55adc5ae2",
+    ],
+}
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_v1_stream_pin_split_neighborhoods(threads):
+    n = 4200
+    for worker, name in ((_importance_chunk, "importance"), (_direct_chunk, "direct")):
+        for i, event in enumerate(SPLIT_PIN_EVENTS):
+            logw = _run_chunks(worker, (PIN_MODEL, 2.0, 2.0, event, 93 + i), n, threads)
+            assert len(logw) == n
+            assert 0 < sum(w != NEG_INF for w in logw) < n
+            assert _digest(logw) == SPLIT_PINS[name][i], (name, event.center.mode)
+
+
 def _reference_log_weight(model, T, p, event, stream):
     traj = simulate_zeta(T, stream)
     if in_path_space(traj) and event.occurs(traj, T, p):
@@ -450,6 +460,32 @@ def test_chunks_equal_the_public_per_replica_functions(event):
         assert _direct_chunk((model, T, p, event, seed, start, stop)) == want
         finals = terminal_states(model, T, stop, seed)[start:]
         assert finals == [simulate_xi(model, T, s).final_state() for s in streams]
+
+
+def test_estimators_match_a_per_replica_stream_reference():
+    # 4200 replicas make two chunks, so threads=2 really uses the pool
+    n, T = 4200, 1.0
+    p = phi(ScalingFamily.exponential(1.0), T)
+    window = EventSpec.terminal_window(0.0, 0.5)
+    xi = lambda seed, r: simulate_xi(UNIT, T, RngStream(seed, r))  # noqa: E731
+    reference = {
+        "importance": _estimate_from_logw(
+            [_reference_log_weight(UNIT, T, p, window, RngStream(71, r)) for r in range(n)]
+        ),
+        "direct": _estimate_from_logw(
+            [0.0 if window.occurs(xi(73, r), T, p) else NEG_INF for r in range(n)]
+        ),
+        "terminal": [xi(79, r).final_state() for r in range(n)],
+    }
+    runs = {
+        "importance": lambda th: importance_estimate(UNIT, T, p, window, n, 71, th),
+        "direct": lambda th: direct_estimate(UNIT, T, p, window, n, 73, th),
+        "terminal": lambda th: terminal_states(UNIT, T, n, 79, th),
+    }
+    assert 0 < reference["importance"].n_hits < n
+    assert 0 < reference["direct"].n_hits < n
+    for threads in (0, 2):
+        assert {name: run(threads) for name, run in runs.items()} == reference
 
 
 def test_chunks_past_two_to_the_64_keep_seed_sequence():
