@@ -486,8 +486,10 @@ class _ChainRates:
     """rates_at of the chain for an array of lane states.
 
     Per-state (eta, p_up) come from _state_rates, the doubles of the
-    single-path kernel, and are added as lanes reach new states; a state
-    the model cannot serve raises when a lane first reaches it.
+    single-path kernel.  The arrays double whenever a lane passes their
+    end (up to a table's end), so the rebuilds cost amortised O(1) per
+    state.  A state the model cannot serve raises when a lane first
+    reaches it.
     """
 
     def __init__(self, model: RateModel) -> None:
@@ -498,10 +500,15 @@ class _ChainRates:
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         top = int(x.max())
         if top >= len(self._known):
-            # lanes move by one state per jump, so states come in order
-            for s in range(len(self._known), top + 1):
-                self._known.append(_state_rates(self._model, s))
-            self._eta, self._p_up = np.array(self._known).T.copy()
+            known, model = self._known, self._model
+            size = 2 * len(known)
+            if model.kind == "table":
+                size = min(size, len(model.table))
+            # lanes move by one state per jump, so past a table's end the
+            # first state asked for is the one just outside it
+            for s in range(len(known), max(size, top + 1)):
+                known.append(_state_rates(model, s))
+            self._eta, self._p_up = np.array(known).T.copy()
         return self._eta[x], self._p_up[x]
 
 

@@ -245,6 +245,14 @@ def _log_sum_exp(terms: list[float]) -> float:
 # Above 2**53 consecutive integers are no longer distinct doubles: pmf
 # terms stop changing there, so a walk over states would never stop.
 _MAX_STATE = 2**53
+# Terms either walk of a window sum may take.  A walk from the mode takes
+# about sqrt(120 a(T)) of them (1.1e5 at a(T) = 1e8, a few tenths of a
+# second), so windows holding the mode are summed up to a(T) of about 1.4e8.
+_MAX_WALK = 2**17
+# Below this mean no walk reaches _MAX_WALK terms, so none is checked: k
+# terms out from the start the pmf has fallen by at least
+# k(k-1)/(2(a(T)+k)) e-folds, which exceeds 60 at k = _MAX_WALK.
+_SHORT_WALK_MEAN = _MAX_WALK * (_MAX_WALK - 1) / 120 - _MAX_WALK
 
 
 def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> float:
@@ -258,7 +266,10 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
     does not grow with the position of the window, only with its reach
     into the bulk of the law.  An empty integer window gives -inf; a
     window that needs a state above 2**53 is refused, and so is the full
-    support when the mode lies there.  Otherwise the full support
+    support when the mode lies there.  A walk that would take more than
+    _MAX_WALK terms is refused before any term is summed, which happens
+    only for windows reaching into the bulk of a law with a(T) above
+    about 1.4e8.  Otherwise the full support
     (lo <= 0, hi = inf) is exactly 0.0 without a sum, and no window
     exceeds 0.0: each pmf term subtracts numbers of size x*ln a(T), so
     at large a(T) a near-full window would otherwise read their rounding
@@ -275,6 +286,18 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
     if lo == 0 and hi == math.inf:
         return 0.0
     start = math.ceil(start) if start == lo else math.floor(start)
+    # the pmf falls along both walks from its peak at start, so a walk
+    # outlasts _MAX_WALK terms exactly when the term that far out is in
+    # the window and within 60 e-folds of the start's
+    far_out = (start + _MAX_WALK, start - 1 - _MAX_WALK) if a > _SHORT_WALK_MEAN else ()
+    for far in far_out:
+        if lo <= far <= hi and poisson_exact_log_pmf(P, Q, T, far) >= (
+            poisson_exact_log_pmf(P, Q, T, start) - 60.0
+        ):
+            raise PreconditionError(
+                f"the window sum needs more than {_MAX_WALK} terms on one side "
+                f"of state {start} (a(T) = {a:g})"
+            )
     terms: list[float] = []
     peak = float("-inf")
     for x, step in ((start, 1), (start - 1, -1)):

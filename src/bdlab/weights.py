@@ -18,7 +18,10 @@ math.fsum so the result is independent of summation order.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -273,23 +276,64 @@ def _terminal_chunk(args) -> list[int]:
     return [x for lanes in _xi_lanes(model, T, seed, start, stop, False) for x in lanes.final.tolist()]
 
 
+# The process pool that every pooled _run_chunks call of this process
+# shares.  It starts at the first pooled call and its workers are forked
+# then, so they see the module state of that moment; Python's own exit
+# hook for executors shuts it down when the interpreter exits.
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child, the parent's pool and lock are not this process's."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool() -> None:
+    """Shut the pool down, waiting for its manager thread and workers."""
+    global _pool, _pool_size
+    if _pool is not None:
+        _pool_size = 0  # never reused, even if the wait below is interrupted
+        _pool.shutdown(wait=True, cancel_futures=True)
+        _pool = None
+
+
 def _run_chunks(worker, common, n: int, threads: int) -> list:
     """Map a chunk worker over replicas 0..n-1, serial or in processes.
 
     Chunk boundaries are fixed by _CHUNK alone and results are
     concatenated in chunk order, so the output is identical for any
-    thread count.  No more workers start than there are chunks.
+    thread count.  A pooled call needs min(threads, chunks) workers and
+    reuses the live pool when it has at least that many and at most
+    threads; otherwise the old pool is shut down before a new one of
+    that size starts.  A chunk's own error leaves the pool as it is; a
+    dead worker or an interrupt drops it, so the next call starts afresh.
     """
+    global _pool, _pool_size
     spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
     arg_list = [common + span for span in spans]
     out: list = []
     if threads <= 0 or len(spans) == 1:
         for args in arg_list:
             out.extend(worker(args))
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-            for part in pool.map(worker, arg_list):
+        return out
+    need = min(threads, len(spans))
+    with _pool_lock:
+        if not need <= _pool_size <= threads:
+            _drop_pool()
+            _pool, _pool_size = ProcessPoolExecutor(max_workers=need), need
+        try:
+            for part in _pool.map(worker, arg_list):
                 out.extend(part)
+        except BaseException as exc:
+            if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
+                _drop_pool()
+            raise
     return out
 
 

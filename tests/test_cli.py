@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 
 from bdlab.cli import main
 from bdlab.harness import RESULT_COLUMNS, parse_results
+from bdlab.rates import ScalingFamily, phi, poisson_mean
 
 MARGINAL_CFG = {
     "model": {"kind": "canonical", "P": 1.0, "Q": 1.0, "l": 0.0},
@@ -219,6 +221,46 @@ def test_exact_scans_refuse_states_above_two_to_the_53(tmp_path, capsys, command
     code, elapsed = timed_main([command, "--config", cfg])
     assert code == 3 and elapsed < 1.0
     assert "2**53" in capsys.readouterr().err
+
+
+def test_marginal_scan_refuses_a_window_sum_past_the_term_budget(tmp_path, capsys):
+    # the window [0, a(T)] at P = 1e12, Q = 1, T = 50 holds the mode
+    scaling = {"family": "exponential", "k": 0.5}
+    half = poisson_mean(1e12, 1.0, 50.0) / (2.0 * phi(ScalingFamily.exponential(0.5), 50.0))
+    model = {"kind": "canonical", "P": 1e12, "Q": 1.0, "l": 0.0}
+    cfg = write_cfg(tmp_path, dict(MARGINAL_CFG, model=model, scaling=scaling,
+                                   t_grid=[50.0], a=half, eps=half))
+    code, elapsed = timed_main(["marginal-scan", "--config", cfg])
+    assert code == 3 and elapsed < 1.0
+    assert "terms on one side" in capsys.readouterr().err
+
+
+def _table_consistency_cfg(tmp_path, states):
+    # the canonical P = Q = 1 rates as a table of `states` entries;
+    # 8192 samples make two chunks, so --threads 2 uses the process pool
+    entries = [[1.0, float(x)] for x in range(states)]
+    model = {"kind": "table", "entries": entries}
+    return write_cfg(tmp_path, dict(CONSISTENCY_CFG, model=model, samples=8192), f"t{states}.json")
+
+
+def test_pooled_run_exits_when_done_or_refused(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    for states, code in ((3, 3), (60, 0)):
+        cfg = _table_consistency_cfg(tmp_path, states)
+        # a live pool must not keep the interpreter from exiting
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdlab.cli", "consistency-check", "--config", cfg,
+             "--threads", "2"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 3:
+            assert proc.stderr == "error: state 3 outside rate table (size 3)\n"
+        else:
+            assert len(parse_results(proc.stdout, "csv").rows) == 3
 
 
 def test_installed_entry_point(tmp_path):

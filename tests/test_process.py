@@ -10,6 +10,7 @@ from bdlab.process import (
     _BLOCK,
     _ChainRates,
     _jump_path,
+    _state_rates,
     _walk_lanes,
     _zeta_rates,
     RateModel,
@@ -556,6 +557,26 @@ def test_lanes_run_past_a_block_of_draws():
     assert _assert_lanes_match_kernel(_stream_gen(97), 12, 400.0) > 12 * 3 * _BLOCK
     fast = RateModel(kind="canonical", P=20.0, Q=1.0, l=0.0)
     assert _assert_lanes_match_kernel(_stream_gen(97), 12, 12.0, fast) > 12 * 3 * _BLOCK
+
+
+def test_lanes_equal_kernel_at_thousands_of_states():
+    # lanes climb past 1,000 states at P = 2000, T = 1, through many
+    # doublings of the chain's rate arrays
+    fast = RateModel(kind="canonical", P=2000.0, Q=1.0, l=0.0)
+    assert _assert_lanes_match_kernel(_stream_gen(101), 8, 1.0, fast) > 8 * 1000
+    # one state more per call: the arrays are rebuilt at 1, 2, 4, ... states,
+    # and at a table's end (80 states), never past it
+    for model, top, rebuilds_wanted in ((fast, 2000, 12), (KERNEL_TABLE, 79, 8)):
+        rates, rebuilds, last = _ChainRates(model), 0, None
+        for x in range(top + 1):
+            rates(np.array([x]))
+            rebuilds += rates._eta is not last
+            last = rates._eta
+        assert rebuilds == rebuilds_wanted
+        eta, p_up = rates(np.arange(top + 1))
+        assert list(zip(eta.tolist(), p_up.tolist())) == [
+            _state_rates(model, x) for x in range(top + 1)
+        ]
 
 
 def test_lanes_raise_where_the_table_runs_out():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdlab import rates
 from bdlab.errors import PreconditionError
 from bdlab.paths import PiecewiseFunction
 from bdlab.rates import (
@@ -310,6 +311,31 @@ def test_log_tail_from_zero_is_exactly_zero_at_large_mean(P):
 
 def test_near_full_window_is_never_positive():
     assert poisson_log_window(1e8, 1.0, 50.0, 0, 2e8) <= 0.0
+
+
+def test_window_refuses_a_walk_past_the_term_budget():
+    # a walk from the mode of a(T) = 1e12 would take about 1.1e7 terms
+    a = poisson_mean(1e12, 1.0, 50.0)
+    for window in ((0, a), (0, 2 * a), (a, math.inf), (a - 1e6, a + 1e6)):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="terms on one side"):
+            poisson_log_window(1e12, 1.0, 50.0, *window)
+        assert time.perf_counter() - start < 1.0
+    # the full support is still exactly 0.0, and a narrow window near the
+    # mode or a window far in the tail is a short walk at any a(T)
+    assert poisson_log_window(1e12, 1.0, 50.0, 0, math.inf) == 0.0
+    narrow = poisson_log_window(1e12, 1.0, 50.0, a - 50, a + 50)
+    # 101 terms of the normal density; each pmf term subtracts numbers of
+    # size 2.7e13 here, so it carries a rounding error of about 1e-2
+    assert narrow == pytest.approx(math.log(101) - 0.5 * math.log(2 * math.pi * a), abs=1e-2)
+    far = a + 2000 * math.sqrt(a)
+    assert poisson_log_window(1e12, 1.0, 50.0, far, math.inf) < -1e6
+    # below _SHORT_WALK_MEAN the check is skipped: no walk from the mode
+    # reaches _MAX_WALK terms there
+    a = rates._SHORT_WALK_MEAN
+    mode = poisson_exact_log_pmf(a, 1.0, 50.0, math.floor(a))
+    for far in (math.floor(a) + rates._MAX_WALK, math.floor(a) - 1 - rates._MAX_WALK):
+        assert poisson_exact_log_pmf(a, 1.0, 50.0, far) < mode - 60.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from bdlab import weights
 from bdlab.errors import PreconditionError
 from bdlab.paths import PiecewiseFunction
 from bdlab.process import (
@@ -308,30 +313,123 @@ def test_estimator_determinism_and_chunk_independence():
     assert other_seed != serial
 
 
-def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    started = []
+@pytest.fixture
+def no_pool():
+    """Start and end the test without a live process pool, so that no
+    fake executor outlives it and no earlier pool is reused."""
+    weights._drop_pool()
+    yield
+    weights._drop_pool()
 
-    class SerialPool:
-        """Stands in for the process pool: records its size, maps in-process."""
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+class CountingPool:
+    """Stands in for the process pool: records its size and its shutdowns,
+    maps in-process."""
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers, started, stopped):
+        self.size, self.stopped = max_workers, stopped
+        started.append(max_workers)
 
-        def __exit__(self, *exc):
-            return False
+    def map(self, fn, args):
+        return map(fn, args)
 
-        def map(self, fn, args):
-            return map(fn, args)
+    def shutdown(self, wait=True, cancel_futures=False):
+        assert wait
+        self.stopped.append(self.size)
 
-    monkeypatch.setattr("bdlab.weights.ProcessPoolExecutor", SerialPool)
+
+def _counting_pools(monkeypatch):
+    started, stopped = [], []
+    monkeypatch.setattr(
+        "bdlab.weights.ProcessPoolExecutor",
+        lambda max_workers: CountingPool(max_workers, started, stopped),
+    )
+    return started, stopped
+
+
+def test_pool_starts_no_more_workers_than_chunks(no_pool, monkeypatch):
+    started, _ = _counting_pools(monkeypatch)
     # 8193 replicas make three 4096-replica chunks
     pooled = terminal_states(UNIT, 0.5, 8193, 5, threads=64)
     assert started == [3]
     assert pooled == terminal_states(UNIT, 0.5, 8193, 5, threads=0)
     assert len(pooled) == 8193 and all(type(x) is int and x >= 0 for x in pooled)
+
+
+def test_one_pool_serves_calls_until_one_needs_more_workers(no_pool, monkeypatch):
+    started, stopped = _counting_pools(monkeypatch)
+    window = EventSpec.terminal_window(0.0, 0.5)
+    serial = importance_estimate(UNIT, 1.0, 2.0, window, 8192, 3, threads=0)
+    for threads in (2, 2, 3):  # two chunks need two workers
+        assert importance_estimate(UNIT, 1.0, 2.0, window, 8192, 3, threads) == serial
+    terminal_states(UNIT, 0.5, 4096, 5, threads=2)  # one chunk: serial, no pool
+    assert (started, stopped) == ([2], [])
+    terminal_states(UNIT, 0.5, 8193, 5, threads=3)  # three chunks need three
+    assert (started, stopped) == ([2, 3], [2])
+    terminal_states(UNIT, 0.5, 8193, 5, threads=2)  # a pool above threads is not reused
+    assert (started, stopped) == ([2, 3, 2], [2, 3])
+
+
+def _die(args):
+    """A chunk worker that kills the worker process it runs in."""
+    os._exit(1)
+
+
+def test_a_dead_worker_drops_the_pool(no_pool):
+    with pytest.raises(BrokenProcessPool):
+        _run_chunks(_die, (), 8192, 2)
+    assert weights._pool is None
+    want = terminal_states(UNIT, 1.0, 8192, 7, threads=0)
+    assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+
+
+def test_a_chunk_error_keeps_the_pool(no_pool):
+    # a table that runs out: some replica of each chunk leaves it
+    short = RateModel(kind="table", table=((2.0, 0.0), (2.0, 1.0), (2.0, 1.0)))
+    window = EventSpec.terminal_window(0.0, 0.5)
+    for threads in (0, 2):
+        with pytest.raises(PreconditionError, match="outside rate table"):
+            direct_estimate(short, 4.0, 2.0, window, 8192, 3, threads)
+    pool = weights._pool
+    assert pool is not None
+    want = terminal_states(UNIT, 1.0, 8192, 7, threads=0)
+    assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+    assert weights._pool is pool
+
+
+def test_estimates_equal_across_pool_sizes(no_pool):
+    # three chunks: the pool grows to three workers and shrinks back to two
+    window = EventSpec.terminal_window(0.0, 0.5)
+    got = []
+    for threads in (2, 3, 2, 0):
+        got.append(importance_estimate(UNIT, 1.0, 2.0, window, 8193, 13, threads))
+        got.append(direct_estimate(UNIT, 1.0, 2.0, window, 8193, 17, threads))
+        assert weights._pool_size == max(threads, 2)
+    assert got[0::2] == got[:1] * 4 and got[1::2] == got[1:2] * 4
+
+
+def test_a_forked_child_starts_its_own_pool(no_pool):
+    want = terminal_states(UNIT, 1.0, 8192, 7, threads=0)
+    assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+    parent_pool = weights._pool
+    pid = os.fork()
+    if pid == 0:  # the child: exit status 0 only if all went as it should
+        ok = weights._pool is None
+        try:
+            ok = ok and terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+            ok = ok and weights._pool is not None
+            weights._drop_pool()
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    assert weights._pool is parent_pool
+    assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
 
 
 def test_agreement_z_conventions():
