@@ -227,15 +227,21 @@ def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
         u = v
 
 
-# lanes per array pass of _lane_l1_distances; larger slices hold more
-# temporaries and were slower
+# lanes per array pass of _lane_l1_pieces; larger slices hold more
+# temporaries and were slower.  The verdicts of a 2,048-replica pass on the
+# P=2, l=0.5, T=10 chain (3 rounds, median of 15 each, 2-vCPU VM) took
+# 10.2/8.0/8.7/10.6 ms at 32/64/128/256 lanes
 _L1_SLICE = 64
 
 
-def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
-                       center: PiecewiseFunction) -> list[float]:
-    """l1_distance(_scaled_steps(0, times_i, signs_i, T, phi_of_T), center)
-    for every lane i of a lockstep block, bit for bit.
+def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: PiecewiseFunction):
+    """l1_distance's pieces for every lane of a lockstep block, bit for bit,
+    _L1_SLICE lanes at a time.
+
+    Yields (pieces, ends) per slice: the slice's k-th lane has the pieces
+    pieces[ends[k]:ends[k+1]], at least one, all nonnegative, and
+    math.fsum of them is l1_distance(_scaled_steps(0, times_i, signs_i, T,
+    phi_of_T), center).
 
     Lane i's jumps are times[start[i]:start[i+1]] and the signs there;
     every lane starts at 0.  Raw scaled times never decrease, so a jump
@@ -245,13 +251,11 @@ def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
     breakpoint.  Each segment is split at the center's breakpoints that
     lie strictly inside it, and each piece is l1_distance's piece, with
     its expressions in its order: a linear center's value at u is the
-    same expression l1_distance reuses from the previous piece.  math.fsum
-    is exact, so each lane's sum does not depend on the order of its pieces.
+    same expression l1_distance reuses from the previous piece.
     """
     cb = np.array(center.breakpoints)
     cv = np.array(center.values)
     linear = center.mode == "linear"
-    out: list[float] = []
     for l0 in range(0, len(start) - 1, _L1_SLICE):
         first = start[l0:l0 + _L1_SLICE + 1]
         counts = np.diff(first)
@@ -304,10 +308,64 @@ def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
         du, dv = du[cross], dv[cross]
         r = du / (du - dv)
         pieces[cross] = (np.abs(du) * r + np.abs(dv) * (1.0 - r)) * 0.5 * width[cross]
-        ends = piece_of[seg].tolist()
+        yield pieces, piece_of[seg]
+
+
+def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
+                       center: PiecewiseFunction) -> list[float]:
+    """l1_distance(_scaled_steps(0, times_i, signs_i, T, phi_of_T), center)
+    for every lane i of a lockstep block, bit for bit: math.fsum of the
+    lane's _lane_l1_pieces is exact, so it does not depend on their order."""
+    out: list[float] = []
+    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi_of_T, center):
+        ends = ends.tolist()
         pieces = pieces.tolist()
         out.extend(math.fsum(pieces[p:q]) for p, q in zip(ends, ends[1:]))
     return out
+
+
+# unit roundoff, and the smallest normal double
+_U = 2.0**-53
+_TINY = 2.0**-1022
+
+
+def _lane_l1_below(start, times, signs, T: float, phi_of_T: float,
+                   center: PiecewiseFunction, eps: float) -> np.ndarray:
+    """[d < eps for d in _lane_l1_distances(...)] as a bool array, with
+    math.fsum only for the lanes whose numpy sum cannot decide.
+
+    Why the numpy sum decides the other lanes.  A lane's m pieces are
+    doubles p_i >= 0 with exact sum s, and its distance is d = fsum =
+    fl(s), so |d - s| <= u*s with u = 2**-53 (below 2**-1022, s is a
+    multiple of 2**-1074 and exact).  Each floating addition is
+    (a + b)(1 + delta) with |delta| <= u, subnormal results included, so
+    adding nonnegative terms in any order gives S with |S - s| <= g*s,
+    g = (m-1)u / (1 - (m-1)u) (Higham 2002, sec. 4.2), unless a partial
+    sum overflowed and S is not finite.  (s itself stays below the
+    largest double: a finite piece is at most half of it times the
+    piece's width, and the widths sum to 1 within a few u.)  Hence
+
+        |d - S| <= (u + g) * s <= (u + g) / (1 - g) * S <= (2m - 1/2) * u * S,
+
+    the last step from g <= (4/3)(m-1)u and 1 - g >= 2/3 while
+    (m+1)u <= 1/4, which holds for any piece count that fits in memory.
+    The band is tol = max(fl(2(m+1)u * S), 2**-1022) >= 2(m+1)u*S*(1-u),
+    which exceeds (2m - 1/2)*u*S.  Rounding is monotone and tol is a
+    double, so fl(|S - eps|) > tol gives |S - eps| > tol >= |d - S|: d
+    lies strictly on S's side of eps, and d < eps exactly when S < eps.
+    The other lanes (inside the band, or S not finite) take math.fsum,
+    as in _lane_l1_distances.
+    """
+    out = []
+    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi_of_T, center):
+        s = np.add.reduceat(pieces, ends[:-1])
+        tol = (np.diff(ends) + 1) * (2 * _U) * s
+        np.maximum(tol, _TINY, out=tol)
+        below = s < eps
+        for k in np.flatnonzero(~(np.abs(s - eps) > tol)).tolist():
+            below[k] = math.fsum(pieces[ends[k]:ends[k + 1]].tolist()) < eps
+        out.append(below)
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
 
 def integral(f: PiecewiseFunction) -> float:

@@ -25,7 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .paths import PiecewiseFunction, _check_phi, _lane_l1_distances, l1_distance, scale_path
+from .paths import PiecewiseFunction, _check_phi, _lane_l1_below, l1_distance, scale_path
 from .process import (
     RateModel,
     Trajectory,
@@ -162,10 +162,10 @@ class EventSpec:
         if self.kind == "full_space":
             return alive.tolist()
         if self.kind == "neighborhood":
-            dists = _lane_l1_distances(
-                lanes.start, lanes.times, lanes.signs, T, phi_of_T, self.center
+            below = _lane_l1_below(
+                lanes.start, lanes.times, lanes.signs, T, phi_of_T, self.center, self.eps
             )
-            return [a and d < self.eps for a, d in zip(alive.tolist(), dists)]
+            return (alive & below).tolist()
         return (alive & self._state_test(lanes.final, lanes.peak, phi_of_T)).tolist()
 
 

@@ -9,7 +9,9 @@ from bdlab.errors import PreconditionError
 from bdlab.paths import (
     JordanPair,
     PiecewiseFunction,
+    _lane_l1_below,
     _lane_l1_distances,
+    _lane_l1_pieces,
     _scaled_steps,
     integral,
     jordan_decompose,
@@ -560,3 +562,90 @@ def test_lane_hits_are_strict_at_a_lanes_exact_distance():
         assert not event.occurs(traj, T, phi)
         wider = EventSpec.neighborhood(center, math.nextafter(eps, math.inf))
         assert wider._lane_hits(lanes, T, phi)[i]
+
+
+# ---------------------------------------------------------------------------
+# a block's neighborhood verdicts against its lanes' exact distances
+
+
+def _around(d):
+    """eps at each distance of d, at its neighbouring doubles and a few
+    units of 2**-52 (relative) away from it."""
+    out = set()
+    for x in d:
+        out |= {x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)}
+        out |= {x * (1.0 + k * 2.0**-52) for k in (-64, -8, -3, -2, 2, 3, 8, 64)}
+    return sorted(out)
+
+
+def _assert_verdicts(block, T, phi, center, probe=None):
+    """_lane_l1_below equals [d < eps ...] at eps around the distances of
+    the lanes in probe (every lane by default); returns the distances."""
+    d = _lane_l1_distances(*block, T, phi, center)
+    for eps in _around(d if probe is None else [d[i] for i in probe]):
+        got = _lane_l1_below(*block, T, phi, center, eps)
+        assert got.dtype == bool and got.tolist() == [x < eps for x in d], eps
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(colliding_lane_block())
+def test_lane_verdicts_equal_exact_distance_tests(case):
+    paths, T, phi, center = case
+    # the lanes repeat, so the first few hold every distinct distance
+    _assert_verdicts(_block(paths), T, phi, center, probe=range(min(len(paths), 6)))
+
+
+def test_lane_verdicts_on_hand_cases():
+    T = 2.0
+    paths = [
+        ([], []),
+        ([0.5, 1.5], [1, -1]),
+        ([0.25, 1.0, 1.75], [1, 1, -1]),
+        ([0.5], [-1]),  # a zeta lane below zero
+        ([1.0], [1]),   # equal to the step center below: distance 0
+    ]
+    centers = [
+        PiecewiseFunction.linear((0.0, 0.5, 1.0), (0.0, 0.75, 0.25)),
+        PiecewiseFunction.step((0.0, 0.5, 1.0), (0.0, 0.5)),
+        PiecewiseFunction.constant(0.1),
+    ]
+    for center in centers:
+        for block in (paths, paths * 30):  # 150 lanes span several slices
+            d = _assert_verdicts(_block(block), T, 2.0, center, probe=range(len(paths)))
+    assert d[0] == 0.1 and _lane_l1_below(*_block([]), T, 1.0, centers[0], 0.5).size == 0
+    assert 0.0 in _lane_l1_distances(*_block(paths), T, 2.0, centers[1])
+
+
+def test_lane_verdicts_at_ten_thousand_pieces():
+    # a step center of 2**14 equal segments cuts every lane into at least
+    # as many pieces.  Under the jumpless lane, each run of 128 pieces is 8
+    # of 2**-14 and 120 of 0.45 * 2**-66, each below half a unit in the
+    # last place of a sum that starts with 2**-14: summed with numpy's
+    # usual eight partial sums per 128 terms, every small piece is lost,
+    # so the numpy sum misses the exact one by several units in the last
+    # place, and eps between the two is decided by the fsum fallback alone
+    n = 2**14
+    center = PiecewiseFunction.step(
+        tuple(j / n for j in range(n + 1)),
+        tuple(1.0 if j % 128 < 8 else 0.45 * 2.0**-52 for j in range(n)),
+    )
+    block = _block([([], []), ([0.3, 0.6], [1, -1]), ([0.5], [-1])])
+    pieces, ends = next(_lane_l1_pieces(*block, 1.0, 1.0, center))
+    assert ends[1] - ends[0] == n
+    d = _assert_verdicts(block, 1.0, 1.0, center)
+    numpy_sum = np.add.reduceat(pieces, ends[:-1])[0]
+    assert d[0] - numpy_sum > 2 * math.ulp(d[0])
+
+
+def test_lane_verdicts_on_simulated_lanes():
+    model = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+    centers = [PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)),
+               PiecewiseFunction.step((0.0, 0.25, 0.6, 1.0), (0.25, 0.75, 0.5)),
+               PiecewiseFunction.linear((0.0, 0.3, 0.7, 1.0), (0.0, 0.75, 0.5, 0.75))]
+    blocks = [(10.0, 10.0, lanes) for lanes in _xi_lanes(model, 10.0, 61, 0, 512, True)]
+    blocks += [(3.0, 2.0, lanes) for lanes in _zeta_lanes(3.0, 61, 0, 512)]
+    for T, phi, lanes in blocks:
+        block = (lanes.start, lanes.times, lanes.signs)
+        for center in centers:
+            _assert_verdicts(block, T, phi, center, probe=range(0, lanes.final.size, 29))

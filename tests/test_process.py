@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from bdlab import process
 from bdlab.errors import PreconditionError
 from bdlab.harness import derive_seed
+from bdlab.paths import PiecewiseFunction
 from bdlab.process import (
     _BLOCK,
     _ChainRates,
     _jump_path,
+    _lane_blocks,
+    _replica_words,
+    _xi_lanes,
+    _zeta_lanes,
     _state_rates,
     _walk_lanes,
     _zeta_rates,
@@ -23,6 +29,13 @@ from bdlab.process import (
     simulate_xi,
     simulate_zeta,
     total_rate,
+)
+from bdlab.weights import (
+    EventSpec,
+    _direct_chunk,
+    _importance_chunk,
+    direct_estimate,
+    importance_estimate,
 )
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
@@ -666,3 +679,114 @@ def test_draws_into_rows_equal_sized_draws():
                 sized.standard_exponential(_BLOCK), sized.standard_exponential(_BLOCK),
                 sized.random(_BLOCK)]
         assert np.array_equal(rows, np.array(want))
+
+
+# ---------------------------------------------------------------------------
+# the width of a lockstep block never changes a replica
+
+
+LONG = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+# (first width, width after a long walk, jumps that make a walk long):
+# the shipped values, a switch after the first block, and the widths 1
+# and 3 in either order
+WIDTHS = [(256, 512, 64), (256, 512, 0), (1, 3, 0), (3, 1, 0)]
+
+
+def _set_widths(monkeypatch, widths):
+    for name, value in zip(("_LANES", "_WIDE_LANES", "_LONG_WALK"), widths):
+        monkeypatch.setattr(process, name, value)
+
+
+def _replicas(blocks):
+    """Every replica's lane results across blocks, in replica order."""
+    rows = []
+    for lanes in blocks:
+        paths = hasattr(lanes, "start")
+        for i in range(lanes.final.size):
+            row = (int(lanes.final[i]), int(lanes.peak[i]), int(lanes.jumps[i]),
+                   bool(lanes.below_zero[i]))
+            rows.append(row + lanes.path(i) if paths else row)
+    return rows
+
+
+def _widened(blocks):
+    """_replicas of blocks, and whether any block after the first was wider."""
+    blocks = list(blocks)
+    return _replicas(blocks), any(b.final.size > blocks[0].final.size for b in blocks[1:])
+
+
+def test_block_width_never_changes_a_replica(monkeypatch):
+    table = RateModel(kind="table", table=KERNEL_TABLE.table[:40])
+    walks = {
+        "xi": lambda: _xi_lanes(LONG, 10.0, 107, 0, 1000, True),
+        "xi no paths": lambda: _xi_lanes(LONG, 10.0, 107, 0, 1000, False),
+        "table": lambda: _xi_lanes(table, 20.0, 109, 0, 600, True),
+        "table no paths": lambda: _xi_lanes(table, 20.0, 109, 0, 600, False),
+        "zeta": lambda: _zeta_lanes(80.0, 113, 0, 600),
+        "zeta no paths": lambda: _lane_blocks(_replica_words(113, 0, 600), 113, 80.0,
+                                              _zeta_rates, False, True),
+    }
+    want = {}
+    for widths in WIDTHS:
+        _set_widths(monkeypatch, widths)
+        for name, walk in walks.items():
+            got, widened = _widened(walk())
+            # every walk here is long enough to widen at the shipped threshold
+            assert widened == (widths[1] > widths[0])
+            want.setdefault(name, got)
+            assert got == want[name], (name, widths)
+    assert want["xi"][:4] != want["xi"][4:8]  # the rows differ, so order is checked
+    assert [row[:4] for row in want["xi"]] == want["xi no paths"]
+    assert [row[:4] for row in want["zeta"]] == want["zeta no paths"]
+    assert any(row[3] for row in want["zeta"]) and not any(row[3] for row in want["xi"])
+
+
+def test_blocks_widen_only_after_a_long_walk():
+    # a chain lane at P=2, l=0.5, T=10 makes about 62 jumps, so some lane
+    # of the first block makes more than 64; walks at T=1 make under 10
+    sizes = [lanes.final.size for lanes in _xi_lanes(LONG, 10.0, 131, 0, 1000, False)]
+    assert sizes == [256, 512, 232]
+    assert [lanes.final.size for lanes in _zeta_lanes(1.0, 131, 0, 1000)] == [256, 256, 256, 232]
+    assert [lanes.final.size for lanes in _xi_lanes(UNIT, 1.0, 131, 0, 1000, True)] == [256] * 3 + [232]
+
+
+def test_block_width_never_changes_an_estimate(monkeypatch):
+    center = PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3))
+    events = [EventSpec.neighborhood(center, 0.2), EventSpec.level_cross(0.4)]
+    want = None
+    for widths in WIDTHS:
+        _set_widths(monkeypatch, widths)
+        # each replica's log weight, and the estimates made of them
+        got = [chunk((LONG, 10.0, 10.0, event, 127, 0, 600))
+               for event in events for chunk in (_direct_chunk, _importance_chunk)]
+        got += [f(LONG, 10.0, 10.0, events[0], 600, 127)
+                for f in (direct_estimate, importance_estimate)]
+        want = want or got
+        assert got == want, widths
+    assert all(0 < est.n_hits < 600 for est in want[4:])
+    assert all(0 < sum(w > -math.inf for w in logw) < 600 for logw in want[:4])
+
+
+def test_block_width_keeps_the_table_error(monkeypatch):
+    short = RateModel(kind="table", table=KERNEL_TABLE.table[:7])
+    out = []
+    for r in range(1000):
+        try:
+            simulate_xi(short, 10.0, RngStream(5, r))
+        except PreconditionError as exc:
+            out.append((r, str(exc)))
+    first_out, message = out[0]
+    assert message == "state 7 outside rate table (size 7)"
+    # the first raises in its first block; the others in a block that was
+    # widened, after the 64 or 103 replicas before it
+    kept = []
+    for widths, before in (((256, 512, 64), 0), ((64, 512, 0), 64), ((1, 3, 0), 103)):
+        _set_widths(monkeypatch, widths)
+        done = []
+        with pytest.raises(PreconditionError) as exc:
+            for lanes in _xi_lanes(short, 10.0, 5, 0, 1000, True):
+                done.append(lanes)
+        assert str(exc.value) == message
+        kept.append(_replicas(done))
+        assert len(kept[-1]) == before
+    assert first_out == 103 and kept[1] == kept[2][:64]
