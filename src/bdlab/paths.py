@@ -311,19 +311,6 @@ def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: Piec
         yield pieces, piece_of[seg]
 
 
-def _lane_l1_distances(start, times, signs, T: float, phi_of_T: float,
-                       center: PiecewiseFunction) -> list[float]:
-    """l1_distance(_scaled_steps(0, times_i, signs_i, T, phi_of_T), center)
-    for every lane i of a lockstep block, bit for bit: math.fsum of the
-    lane's _lane_l1_pieces is exact, so it does not depend on their order."""
-    out: list[float] = []
-    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi_of_T, center):
-        ends = ends.tolist()
-        pieces = pieces.tolist()
-        out.extend(math.fsum(pieces[p:q]) for p, q in zip(ends, ends[1:]))
-    return out
-
-
 # unit roundoff, and the smallest normal double
 _U = 2.0**-53
 _TINY = 2.0**-1022
@@ -331,8 +318,10 @@ _TINY = 2.0**-1022
 
 def _lane_l1_below(start, times, signs, T: float, phi_of_T: float,
                    center: PiecewiseFunction, eps: float) -> np.ndarray:
-    """[d < eps for d in _lane_l1_distances(...)] as a bool array, with
-    math.fsum only for the lanes whose numpy sum cannot decide.
+    """[d < eps for d in the lanes' L1 distances] as a bool array, with
+    math.fsum only for the lanes whose numpy sum cannot decide.  A lane's
+    distance is math.fsum of its _lane_l1_pieces, which is exact, so it
+    does not depend on their order.
 
     Why the numpy sum decides the other lanes.  A lane's m pieces are
     doubles p_i >= 0 with exact sum s, and its distance is d = fsum =
@@ -353,8 +342,7 @@ def _lane_l1_below(start, times, signs, T: float, phi_of_T: float,
     which exceeds (2m - 1/2)*u*S.  Rounding is monotone and tol is a
     double, so fl(|S - eps|) > tol gives |S - eps| > tol >= |d - S|: d
     lies strictly on S's side of eps, and d < eps exactly when S < eps.
-    The other lanes (inside the band, or S not finite) take math.fsum,
-    as in _lane_l1_distances.
+    The other lanes (inside the band, or S not finite) take math.fsum.
     """
     out = []
     for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi_of_T, center):

@@ -493,34 +493,49 @@ class _Lanes:
         return self.times[lo:hi].tolist(), self.signs[lo:hi].tolist()
 
 
-class _ChainRates:
+class _StateTable:
+    """Per-state rows of doubles, row(model, x), as numpy columns.
+
+    upto(top) gives the columns for at least states 0..top.  They double
+    whenever a state past their end is asked for (up to a table's end),
+    so the rebuilds cost amortised O(1) per state.  A state the model
+    cannot serve raises when it is first asked for.
+    """
+
+    def __init__(self, model: RateModel, row: Callable[[RateModel, int], tuple]) -> None:
+        self._model = model
+        self._row = row
+        self._rows: list[tuple] = []
+        self._columns: tuple[np.ndarray, ...] = ()
+
+    def upto(self, top: int) -> tuple[np.ndarray, ...]:
+        rows, model = self._rows, self._model
+        if top >= len(rows):
+            size = 2 * len(rows)
+            if model.kind == "table":
+                size = min(size, len(model.table))
+            # rows are built in state order, so past a table's end the state
+            # that raises is the one just outside it, where a walk from 0 leaves
+            for s in range(len(rows), max(size, top + 1)):
+                rows.append(self._row(model, s))
+            self._columns = tuple(np.array(rows).T.copy())
+        return self._columns
+
+
+class _ChainRates(_StateTable):
     """rates_at of the chain for an array of lane states.
 
     Per-state (eta, p_up) come from _state_rates, the doubles of the
-    single-path kernel.  The arrays double whenever a lane passes their
-    end (up to a table's end), so the rebuilds cost amortised O(1) per
-    state.  A state the model cannot serve raises when a lane first
-    reaches it.
+    single-path kernel.  A state the model cannot serve raises when a
+    lane first reaches it.
     """
 
     def __init__(self, model: RateModel) -> None:
-        self._model = model
-        self._known: list[tuple[float, float]] = []
-        self._eta = self._p_up = np.empty(0)
+        super().__init__(model, _state_rates)
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        top = int(x.max())
-        if top >= len(self._known):
-            known, model = self._known, self._model
-            size = 2 * len(known)
-            if model.kind == "table":
-                size = min(size, len(model.table))
-            # lanes move by one state per jump, so past a table's end the
-            # first state asked for is the one just outside it
-            for s in range(len(known), max(size, top + 1)):
-                known.append(_state_rates(model, s))
-            self._eta, self._p_up = np.array(known).T.copy()
-        return self._eta[x], self._p_up[x]
+        eta, p_up = self.upto(int(x.max()))
+        return eta[x], p_up[x]
 
 
 def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool) -> _Lanes:

@@ -223,16 +223,76 @@ def poisson_mean(P: float, Q: float, T: float) -> float:
     return (P / Q) * -math.expm1(-Q * T)
 
 
+# Above this mean the pmf takes Loader's saddle-point form.  Below it the
+# direct form x ln a - a - lgamma(x+1) is kept bit for bit (every shipped
+# exact row has a(T) <= 2); its terms reach about 1.5e7 there, so its
+# rounding error stays near 1e-8, but it grows with a(T): about 1e-3 at 1e12.
+_SADDLE_MEAN = 2.0**20
+_LN_2PI = math.log(2.0 * math.pi)
+# Stirling's series for stirlerr: 1/12, 1/360, 1/1260, 1/1680, 1/1188
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+def _stirlerr(n: int) -> float:
+    """ln(n!) - ((n + 1/2) ln n - n + ln(2 pi)/2) for an integer n >= 1.
+
+    Up to 15 from lgamma, whose absolute error is a few ulps of ln(16!);
+    above it Stirling's series, cut where Loader (2000) finds it exact to
+    double precision.
+    """
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * _LN_2PI
+    nn = float(n) * n
+    if n > 500:
+        return (_S0 - _S1 / nn) / n
+    if n > 80:
+        return (_S0 - (_S1 - _S2 / nn) / nn) / n
+    if n > 35:
+        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x ln(x/m) + m - x >= 0 (Loader 2000).
+
+    Near x = m, where the direct form cancels, it is the series
+    (x-m)v + 2x sum_j v^(2j+1)/(2j+1) with v = (x-m)/(x+m), summed until
+    a term no longer changes the sum.
+    """
+    d = x - m
+    if abs(d) < 0.1 * (x + m):
+        v = d / (x + m)
+        s = d * v
+        ej = 2.0 * x * v
+        v *= v
+        j = 1
+        while True:
+            ej *= v
+            s_next = s + ej / (2 * j + 1)
+            if s_next == s:
+                return s
+            s = s_next
+            j += 1
+    return x * math.log(x / m) + m - x
+
+
 def poisson_exact_log_pmf(P: float, Q: float, T: float, x: int) -> float:
     """ln P(state at T equals x) for the constant-birth / linear-death chain.
 
-    Factorials go through lgamma; nothing here is a truncation or an
-    asymptotic expansion.
+    Up to a(T) = 2**20 this is x ln a - a - lgamma(x+1).  Above it that
+    difference of terms of size x ln a would lose its absolute accuracy,
+    so the pmf is Loader's (2000) saddle-point form
+    -stirlerr(x) - bd0(x, a) - ln(2 pi x)/2, whose terms stay small near
+    the mode; there is no truncation beyond that of double precision.
     """
     if x < 0 or x != int(x):
         raise PreconditionError(f"x must be a nonnegative integer, got {x}")
     a = poisson_mean(P, Q, T)
-    return x * math.log(a) - a - math.lgamma(x + 1.0)
+    if a <= _SADDLE_MEAN:
+        return x * math.log(a) - a - math.lgamma(x + 1.0)
+    if x == 0:
+        return -a
+    return -_stirlerr(x) - _bd0(x, a) - 0.5 * (_LN_2PI + math.log(x))
 
 
 def _log_sum_exp(terms: list[float]) -> float:

@@ -24,12 +24,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
 from .paths import PiecewiseFunction, _check_phi, _lane_l1_below, l1_distance, scale_path
 from .process import (
     RateModel,
     Trajectory,
     _Lanes,
+    _StateTable,
     _xi_lanes,
     _zeta_lanes,
     birth_rate,
@@ -155,18 +158,18 @@ class EventSpec:
     def _near(self, scaled: PiecewiseFunction) -> bool:
         return l1_distance(scaled, self.center) < self.eps
 
-    def _lane_hits(self, lanes: _Lanes, T: float, phi_of_T: float) -> list[bool]:
+    def _lane_hits(self, lanes: _Lanes, T: float, phi_of_T: float) -> np.ndarray:
         """occurs for each lane of a lockstep block that stayed nonnegative;
         False for the others."""
         alive = ~lanes.below_zero
         if self.kind == "full_space":
-            return alive.tolist()
+            return alive
         if self.kind == "neighborhood":
             below = _lane_l1_below(
                 lanes.start, lanes.times, lanes.signs, T, phi_of_T, self.center, self.eps
             )
-            return (alive & below).tolist()
-        return (alive & self._state_test(lanes.final, lanes.peak, phi_of_T)).tolist()
+            return alive & below
+        return alive & self._state_test(lanes.final, lanes.peak, phi_of_T)
 
 
 def count_jumps(traj: Trajectory) -> int:
@@ -247,6 +250,60 @@ def _log_density(model: RateModel, times, signs, horizon: float) -> float:
     )
 
 
+def _density_row(model: RateModel, x: int) -> tuple[float, float, float]:
+    """(eta, ln lambda, ln mu) at state x: the doubles of _log_density's
+    terms there, with ln 0 = -inf for the dead jump of _functional_B."""
+    eta = total_rate(model, x)
+    mu = death_rate(model, x)
+    return eta, math.log(birth_rate(model, x)), math.log(mu) if mu else _NEG_INF
+
+
+def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: float) -> list[float]:
+    """_log_density of each hit lane's path, bit for bit, and -inf for
+    every other lane of a reference-walk block.
+
+    Each hit lane gets its jumps as entries, then one closing entry at T.
+    The state of an entry is the running sum of signs before it; the
+    closing entry steps back by the lane's final state, so the sum
+    restarts at 0 for the next lane.  An entry's A term is eta(x) times
+    the time since the lane's previous entry (or since 0.0), and a jump's
+    B term is ln lambda(x) or ln mu(x), all from rates (a _StateTable of
+    _density_row).  These are the doubles _functional_A and _functional_B
+    add, and math.fsum is correctly rounded, so a lane's sums do not
+    depend on the order of its terms.  Rates are looked up only up to
+    the hit lanes' peak, so a table model raises exactly when a hit lane
+    leaves its table.
+    """
+    out = np.full(hits.size, _NEG_INF)
+    jumps = lanes.jumps[hits]
+    if jumps.size == 0:
+        return out.tolist()
+    close = np.cumsum(jumps + 1) - 1
+    first = close - jumps
+    is_jump = np.ones(close[-1] + 1, dtype=bool)
+    is_jump[close] = False
+    hit_jump = np.repeat(hits, lanes.jumps)
+    t = np.full(is_jump.size, T)
+    t[is_jump] = lanes.times[hit_jump]
+    step = np.zeros(is_jump.size, dtype=np.int64)
+    step[is_jump] = lanes.signs[hit_jump]
+    step[close] = -lanes.final[hits]
+    x = np.cumsum(step)
+    x -= step
+    t_prev = np.empty_like(t)
+    t_prev[1:] = t[:-1]
+    t_prev[first] = 0.0
+    eta, ln_up, ln_down = rates.upto(int(lanes.peak[hits].max()))
+    a = (eta[x] * (t - t_prev)).tolist()
+    b = np.where(step > 0, ln_up[x], ln_down[x]).tolist()
+    fsum, ln2 = math.fsum, math.log(2.0)
+    out[hits] = [
+        T - fsum(a[lo:hi + 1]) + fsum(b[lo:hi]) + n * ln2
+        for lo, hi, n in zip(first.tolist(), close.tolist(), jumps.tolist())
+    ]
+    return out.tolist()
+
+
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -254,10 +311,10 @@ def _log_density(model: RateModel, times, signs, horizon: float) -> float:
 def _importance_chunk(args) -> list[float]:
     """Log weights for one contiguous block of importance replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
+    rates = _StateTable(model, _density_row)
     out: list[float] = []
     for lanes in _zeta_lanes(T, seed, start, stop):
-        for i, hit in enumerate(event._lane_hits(lanes, T, phi_of_T)):
-            out.append(_log_density(model, *lanes.path(i), T) if hit else _NEG_INF)
+        out.extend(_lane_log_weights(rates, lanes, event._lane_hits(lanes, T, phi_of_T), T))
     return out
 
 
@@ -266,7 +323,8 @@ def _direct_chunk(args) -> list[float]:
     model, T, phi_of_T, event, seed, start, stop = args
     out: list[float] = []
     for lanes in _xi_lanes(model, T, seed, start, stop, event.kind == "neighborhood"):
-        out.extend(0.0 if hit else _NEG_INF for hit in event._lane_hits(lanes, T, phi_of_T))
+        hits = event._lane_hits(lanes, T, phi_of_T).tolist()
+        out.extend(0.0 if hit else _NEG_INF for hit in hits)
     return out
 
 
@@ -340,8 +398,10 @@ def _run_chunks(worker, common, n: int, threads: int) -> list:
 def _estimate_from_logw(logw: list[float]) -> Estimate:
     """Reduce per-replica log contributions to an Estimate, order-free."""
     n = len(logw)
-    hits = sum(1 for w in logw if w != _NEG_INF)
-    if hits == 0:
+    # a non-hit's exp(-inf) = 0.0 changes no exact sum and no max, so
+    # only the hits are reduced
+    hit_w = [w for w in logw if w != _NEG_INF]
+    if not hit_w:
         return Estimate(
             log_value=_NEG_INF,
             relative_std_error=float("inf"),
@@ -349,8 +409,8 @@ def _estimate_from_logw(logw: list[float]) -> Estimate:
             n_hits=0,
             max_weight_share=0.0,
         )
-    m = max(logw)
-    shifted = [w - m for w in logw]
+    m = max(hit_w)
+    shifted = [w - m for w in hit_w]
     s1 = math.fsum(math.exp(w) for w in shifted)
     s2 = math.fsum(math.exp(2.0 * w) for w in shifted)
     log_value = m + math.log(s1) - math.log(n)
@@ -363,7 +423,7 @@ def _estimate_from_logw(logw: list[float]) -> Estimate:
         log_value=log_value,
         relative_std_error=rel_se,
         n_samples=n,
-        n_hits=hits,
+        n_hits=len(hit_w),
         max_weight_share=1.0 / s1,
     )
 

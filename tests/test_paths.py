@@ -10,7 +10,6 @@ from bdlab.paths import (
     JordanPair,
     PiecewiseFunction,
     _lane_l1_below,
-    _lane_l1_distances,
     _lane_l1_pieces,
     _scaled_steps,
     integral,
@@ -466,6 +465,17 @@ def _block(paths):
     return start, times, signs
 
 
+def _lane_l1_distances(start, times, signs, T, phi, center):
+    """math.fsum of each lane's _lane_l1_pieces: exact, so independent of
+    their order, and the distance that _lane_l1_below decides against."""
+    out = []
+    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi, center):
+        ends = ends.tolist()
+        pieces = pieces.tolist()
+        out.extend(math.fsum(pieces[p:q]) for p, q in zip(ends, ends[1:]))
+    return out
+
+
 def _per_lane_l1(paths, T, phi, center):
     return [l1_distance(_scaled_steps(0, ts, ss, T, phi), center) for ts, ss in paths]
 
@@ -557,7 +567,7 @@ def test_lane_hits_are_strict_at_a_lanes_exact_distance():
     assert d == _per_lane_l1(paths, T, phi, center) and d[0] != d[1]
     for i, eps in enumerate(d[:2]):
         event = EventSpec.neighborhood(center, eps)
-        assert event._lane_hits(lanes, T, phi) == [x < eps for x in d[:2]] + [False]
+        assert event._lane_hits(lanes, T, phi).tolist() == [x < eps for x in d[:2]] + [False]
         traj = Trajectory(horizon=T, jump_times=tuple(paths[i][0]), jump_signs=tuple(paths[i][1]))
         assert not event.occurs(traj, T, phi)
         wider = EventSpec.neighborhood(center, math.nextafter(eps, math.inf))

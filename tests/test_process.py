@@ -583,8 +583,9 @@ def test_lanes_equal_kernel_at_thousands_of_states():
         rates, rebuilds, last = _ChainRates(model), 0, None
         for x in range(top + 1):
             rates(np.array([x]))
-            rebuilds += rates._eta is not last
-            last = rates._eta
+            eta = rates.upto(x)[0]
+            rebuilds += eta is not last
+            last = eta
         assert rebuilds == rebuilds_wanted
         eta, p_up = rates(np.arange(top + 1))
         assert list(zip(eta.tolist(), p_up.tolist())) == [
@@ -612,26 +613,34 @@ def test_lanes_raise_where_the_table_runs_out():
 
 
 class _FixedGen:
-    """A generator whose every block starts with the given draws, padded
-    to full size with the last of them; serves both sized and out= calls."""
+    """A generator whose every block holds the given draws, padded to full
+    size with the last of them; serves both sized and out= calls.
+
+    The k-th call (from 0, counting both kinds) scales its exponentials by
+    s = 1 + k/1024 and its uniforms by 1/s, so zeros stay zeros, uniforms
+    stay below 1, and a row drawn early differs from the one due then.
+    """
 
     def __init__(self, exps, unis):
         self._exps = exps
         self._unis = unis
+        self._calls = 0
 
-    @staticmethod
-    def _block(draws, size, out):
+    def _block(self, draws, size, out, power):
         values = (draws + draws[-1:] * _BLOCK)[: _BLOCK if out is None else out.size]
+        scale = (1.0 + self._calls / 1024) ** power
+        self._calls += 1
+        values = [v * scale for v in values]
         if out is None:
             return np.array(values[:size])
         out[:] = values
         return out
 
     def standard_exponential(self, size=None, out=None):
-        return self._block(self._exps, size, out)
+        return self._block(self._exps, size, out, 1)
 
     def random(self, size=None, out=None):
-        return self._block(self._unis, size, out)
+        return self._block(self._unis, size, out, -1)
 
 
 # a zero draw, draws that do not move t = 1e20, and (second) blocks in

@@ -325,9 +325,9 @@ def test_window_refuses_a_walk_past_the_term_budget():
     # mode or a window far in the tail is a short walk at any a(T)
     assert poisson_log_window(1e12, 1.0, 50.0, 0, math.inf) == 0.0
     narrow = poisson_log_window(1e12, 1.0, 50.0, a - 50, a + 50)
-    # 101 terms of the normal density; each pmf term subtracts numbers of
-    # size 2.7e13 here, so it carries a rounding error of about 1e-2
-    assert narrow == pytest.approx(math.log(101) - 0.5 * math.log(2 * math.pi * a), abs=1e-2)
+    # 101 terms of the normal density, which is off by the mean of
+    # k**2 / (2a) over |k| <= 50, about 4.3e-10, plus O(1/a)
+    assert narrow == pytest.approx(math.log(101) - 0.5 * math.log(2 * math.pi * a), abs=1e-9)
     far = a + 2000 * math.sqrt(a)
     assert poisson_log_window(1e12, 1.0, 50.0, far, math.inf) < -1e6
     # below _SHORT_WALK_MEAN the check is skipped: no walk from the mode
@@ -336,6 +336,41 @@ def test_window_refuses_a_walk_past_the_term_budget():
     mode = poisson_exact_log_pmf(a, 1.0, 50.0, math.floor(a))
     for far in (math.floor(a) + rates._MAX_WALK, math.floor(a) - 1 - rates._MAX_WALK):
         assert poisson_exact_log_pmf(a, 1.0, 50.0, far) < mode - 60.0
+
+
+def _mp_log_pmf(mpmath, a, x):
+    return x * mpmath.log(a) - a - mpmath.loggamma(x + 1)
+
+
+def test_log_pmf_at_a_huge_mean_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    a = poisson_mean(1e12, 1.0, 50.0)
+    with mpmath.workdps(50):
+        terms = [_mp_log_pmf(mpmath, mpmath.mpf(a), x) for x in range(int(a) - 50, int(a) + 51)]
+        want = float(mpmath.log(mpmath.fsum(mpmath.exp(t) for t in terms)))
+    # the direct form read -10.120452 here, 1.1e-3 off
+    assert abs(poisson_log_window(1e12, 1.0, 50.0, a - 50, a + 50) - want) < 1e-12
+    # each branch of stirlerr and of bd0, from the switch to a(T) = 1e15;
+    # relative to the value (bd0's direct form adds terms up to 6 times it),
+    # and absolute near the mode
+    for P in (math.nextafter(rates._SADDLE_MEAN, math.inf), 3e6, 1e9, 1e12, 1e15):
+        a = poisson_mean(P, 1.0, 50.0)
+        sd = math.sqrt(a)
+        states = [0, 1, 2, 15, 16, 35, 36, 80, 81, 500, 501, 10**6, int(a), int(a) + 1,
+                  int(a - 10 * sd), int(a + 30 * sd), int(0.5 * a), int(0.91 * a), int(1.5 * a)]
+        for x in states:
+            with mpmath.workdps(50):
+                want = float(_mp_log_pmf(mpmath, mpmath.mpf(a), x))
+            got = poisson_exact_log_pmf(P, 1.0, 50.0, x)
+            assert abs(got - want) <= 2e-15 * max(abs(want), 32.0), (P, x)
+
+
+def test_log_pmf_keeps_the_direct_form_up_to_the_switch():
+    for P in (1.0, 500.0, rates._SADDLE_MEAN):
+        a = poisson_mean(P, 1.0, 50.0)
+        for x in (0, 1, int(a), int(a) + 7, 3 * int(a)):
+            want = x * math.log(a) - a - math.lgamma(x + 1.0)
+            assert poisson_exact_log_pmf(P, 1.0, 50.0, x).hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

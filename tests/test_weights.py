@@ -7,13 +7,15 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from bdlab import weights
+from bdlab import process, weights
 from bdlab.errors import PreconditionError
 from bdlab.paths import PiecewiseFunction
 from bdlab.process import (
     RateModel,
     RngStream,
     Trajectory,
+    _StateTable,
+    _zeta_lanes,
     in_path_space,
     simulate_xi,
     simulate_zeta,
@@ -31,9 +33,12 @@ from bdlab.weights import (
     importance_estimate,
     log_density,
     terminal_states,
+    _density_row,
     _direct_chunk,
     _estimate_from_logw,
     _importance_chunk,
+    _lane_log_weights,
+    _log_density,
     _run_chunks,
     _terminal_chunk,
 )
@@ -604,3 +609,121 @@ def test_estimators_refuse_a_bad_phi():
             importance_estimate(UNIT, 1.0, bad, EventSpec.terminal_window(0.0, 1.0), 10, 1)
         with pytest.raises(PreconditionError, match="phi_of_T must be positive"):
             direct_estimate(UNIT, 1.0, bad, EventSpec.level_cross(1.0), 10, 1)
+
+
+# ---------------------------------------------------------------------------
+# the log density of a whole reference-walk block against _log_density
+
+
+# rates that are no round numbers, and mu(0) > 0, which a reference walk
+# that stays nonnegative never uses
+BLOCK_TABLE = RateModel(
+    kind="table", table=tuple((1.0 + 0.5 * math.sin(x), 0.3 + 0.7 * x) for x in range(400))
+)
+BLOCK_MODELS = [UNIT, PIN_MODEL, BLOCK_TABLE]
+
+
+def _per_lane_log_weights(model, T, p, event, seed, start, stop):
+    """Each lane's log weight from _log_density of its path as lists, and
+    the blocks the lanes came from."""
+    want, blocks = [], list(_zeta_lanes(T, seed, start, stop))
+    for lanes in blocks:
+        for i, hit in enumerate(event._lane_hits(lanes, T, p).tolist()):
+            want.append(_log_density(model, *lanes.path(i), T) if hit else NEG_INF)
+    return want, blocks
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+# the shipped widths, one and three lanes a block, and a switch to 512
+# lanes after the first block
+@pytest.mark.parametrize("widths", [None, (1, 3, 0), (256, 512, 0)])
+@pytest.mark.parametrize("T", [0.5, 3.0, 30.0, 150.0])
+def test_block_log_density_equals_log_density_of_each_path(monkeypatch, widths, T):
+    if widths is not None:
+        for name, value in zip(("_LANES", "_WIDE_LANES", "_LONG_WALK"), widths):
+            monkeypatch.setattr(process, name, value)
+    n, p = 600, math.sqrt(T) + 1.0
+    hit_jumps, below_zero = [], 0
+    for model in BLOCK_MODELS:
+        for event in (EventSpec.full_space(), EventSpec.terminal_window(0.0, 1.0)):
+            got = _importance_chunk((model, T, p, event, 131, 40, 40 + n))
+            want, blocks = _per_lane_log_weights(model, T, p, event, 131, 40, 40 + n)
+            assert _hex(got) == _hex(want), (model, event.kind)
+            jumps = [j for lanes in blocks for j in lanes.jumps.tolist()]
+            hit_jumps += [j for j, w in zip(jumps, want) if w != NEG_INF]
+            below_zero += sum(int(lanes.below_zero.sum()) for lanes in blocks)
+    assert below_zero > 0 and hit_jumps
+    if T == 0.5:
+        assert 0 in hit_jumps
+    if T == 150.0:
+        # hit lanes that refilled their exponential row
+        assert max(hit_jumps) > 128
+
+
+def test_block_log_density_builds_rates_only_for_hit_lanes():
+    # hits are the lanes that stay below state 3 of a 3-entry table; other
+    # lanes that stay nonnegative go past it, and never raise
+    short = RateModel(kind="table", table=((1.0, 0.0), (1.5, 1.0), (0.5, 2.0)))
+    T, seen_above = 4.0, 0
+    rates = _StateTable(short, _density_row)
+    for lanes in _zeta_lanes(T, 3, 0, 1000):
+        alive = ~lanes.below_zero
+        hits = alive & (lanes.peak < 3)
+        seen_above += int((alive & ~hits).sum())
+        got = _lane_log_weights(rates, lanes, hits, T)
+        want = [_log_density(short, *lanes.path(i), T) if hit else NEG_INF
+                for i, hit in enumerate(hits.tolist())]
+        assert _hex(got) == _hex(want)
+    assert seen_above > 0
+    assert len(rates.upto(0)[0]) == 3
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_block_log_density_keeps_the_table_error(threads):
+    short = RateModel(kind="table", table=((1.0, 0.0), (1.5, 1.0), (0.5, 2.0)))
+    T, n, full = 4.0, 4200, EventSpec.full_space()  # two chunks: threads=2 pools them
+    with pytest.raises(PreconditionError) as want:
+        _per_lane_log_weights(short, T, 1.0, full, 3, 0, n)
+    with pytest.raises(PreconditionError) as got:
+        importance_estimate(short, T, 1.0, full, n, 3, threads)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == "state 3 outside rate table (size 3)"
+    # the same lanes, none of them a hit: none raises
+    far = importance_estimate(short, T, 1.0, EventSpec.terminal_window(50.0, 60.0), n, 3, threads)
+    assert far.n_hits == 0
+
+
+def _estimate_over_every_entry(logw):
+    """_estimate_from_logw as it reduced every entry, -inf ones included."""
+    n = len(logw)
+    hits = sum(1 for w in logw if w != NEG_INF)
+    if hits == 0:
+        return Estimate(NEG_INF, float("inf"), n, 0, 0.0)
+    m = max(logw)
+    shifted = [w - m for w in logw]
+    s1 = math.fsum(math.exp(w) for w in shifted)
+    s2 = math.fsum(math.exp(2.0 * w) for w in shifted)
+    rel_se = (math.sqrt(max(s2 - s1 * s1 / n, 0.0) / (n - 1)) * math.sqrt(n) / s1
+              if n > 1 else float("inf"))
+    return Estimate(m + math.log(s1) - math.log(n), rel_se, n, hits, 1.0 / s1)
+
+
+def test_estimate_reduced_over_hits_equals_every_entry():
+    window = EventSpec.terminal_window(0.0, 0.5)
+    cases = [
+        [NEG_INF] * 5,
+        [NEG_INF],
+        [-2.5],
+        [NEG_INF, NEG_INF, -2.5, NEG_INF],
+        _importance_chunk((PIN_MODEL, 2.0, 2.0, window, 83, 0, 3000)),
+        _importance_chunk((UNIT, 3.0, 2.0, EventSpec.full_space(), 85, 0, 3000)),
+        _direct_chunk((PIN_MODEL, 2.0, 2.0, window, 87, 0, 3000)),
+    ]
+    for logw in cases:
+        got, want = _estimate_from_logw(logw), _estimate_over_every_entry(logw)
+        assert got == want and repr(got) == repr(want)
+    assert all(0 < sum(w != NEG_INF for w in logw) < len(logw) for logw in cases[4:])
+    assert set(cases[-1]) == {0.0, NEG_INF}
