@@ -42,7 +42,6 @@ from .process import (
     birth_rate,
     death_rate,
     in_path_space,
-    replica_streams,
     simulate_xi,
     simulate_zeta,
     total_rate,

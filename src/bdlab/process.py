@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "RateModel",
     "Trajectory",
     "RngStream",
-    "replica_streams",
     "birth_rate",
     "death_rate",
     "total_rate",
@@ -190,16 +189,12 @@ class RngStream:
     SeedSequence entropy mix of the pair.  The mix is a fixed, documented
     function: identical pairs reproduce identical draws bit for bit, and
     distinct replica indices give statistically independent streams.
-
-    seed_words, when set, must be SeedSequence((seed, replica_index))
-    .generate_state(4, np.uint64); replica_streams fills it from one
-    vectorised pass per block of replicas, and generator() then skips
-    the per-replica SeedSequence.  It takes no part in == or repr.
+    simulate_xi and simulate_zeta build this same generator inside the
+    lane walk (see _lane_blocks) rather than through generator().
     """
 
     seed: int
     replica_index: int = 0
-    seed_words: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2**64):
@@ -210,10 +205,7 @@ class RngStream:
             )
 
     def generator(self) -> np.random.Generator:
-        if self.seed_words is None:
-            key = np.random.SeedSequence((self.seed, self.replica_index))
-        else:
-            key = _seed_words_type()(self.seed_words)
+        key = np.random.SeedSequence((self.seed, self.replica_index))
         return np.random.Generator(np.random.PCG64(key))
 
 
@@ -328,73 +320,6 @@ def _unvalidated(cls: type, **fields):
     return obj
 
 
-def replica_streams(seed: int, start: int, stop: int) -> Iterator[RngStream]:
-    """RngStream(seed, r) for r in start..stop-1, seed words derived per block.
-
-    Each stream equals RngStream(seed, r) and draws the same bits; its
-    SeedSequence words come from one vectorised pass over a block of
-    _WORDS_BLOCK replicas instead of one SeedSequence per replica.
-    Indices at or above 2**64 keep the per-replica SeedSequence.  The
-    pair (seed, start) is validated once, so each stream is built
-    without rerunning RngStream's checks.
-    """
-    for r, words in _replica_words(seed, start, stop):
-        yield _unvalidated(RngStream, seed=seed, replica_index=r, seed_words=words)
-
-
-def _jump_path(
-    gen: np.random.Generator, T: float, rates_at: Callable[[int], tuple[float, float]]
-) -> Trajectory:
-    """Event-driven path from state 0 on [0, T], shared by simulate_xi and simulate_zeta.
-
-    rates_at(x) gives (eta, p_up) at state x: the holding time there is
-    exponential with rate eta, and the jump is up iff a uniform draw is
-    below p_up.  Draws come from gen in blocks of _BLOCK, exponentials
-    and uniforms each fetched when their last block runs out.  An
-    exponential draw dt whose t + dt/eta does not move t forward in
-    floating point (a zero draw among them) is drawn again, so jump
-    times stay strictly increasing.  rates_at is called on entering each
-    state, before its holding time is drawn, so it may raise for a state
-    the path reaches.  Times in (0, T) and signs of +-1 are what
-    Trajectory checks, so the path is built without rechecking them.
-    """
-    exps: list[float] = []
-    unis: list[float] = []
-    ei = ui = 0
-    t = 0.0
-    x = 0
-    times: list[float] = []
-    signs: list[int] = []
-    eta, p_up = rates_at(0)
-    while True:
-        while True:
-            if ei == len(exps):
-                exps = gen.standard_exponential(_BLOCK).tolist()
-                ei = 0
-            t_next = t + exps[ei] / eta
-            ei += 1
-            if t_next > t:
-                break
-        t = t_next
-        if t >= T:
-            break
-        if ui == len(unis):
-            unis = gen.random(_BLOCK).tolist()
-            ui = 0
-        if unis[ui] < p_up:
-            x += 1
-            signs.append(1)
-        else:
-            x -= 1
-            signs.append(-1)
-        ui += 1
-        times.append(t)
-        eta, p_up = rates_at(x)
-    return _unvalidated(
-        Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0
-    )
-
-
 def _check_horizon(T: float) -> None:
     if not (T > 0 and math.isfinite(T)):
         raise PreconditionError(f"T must be positive, got {T}")
@@ -415,39 +340,6 @@ def _state_rates(model: RateModel, x: int) -> tuple[float, float]:
     eta = lam + death_rate(model, x)
     # u < lam/eta is exact at x=0: lam/eta == 1.0 and u < 1 always
     return eta, lam / eta
-
-
-def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
-    """Exact simulation of the birth-death chain from state 0 on [0, T].
-
-    At state x the holding time is exponential with rate eta(x) and the
-    jump is up with probability lambda(x)/eta(x).  At x = 0 that
-    probability is 1 (mu(0) = 0), so the walk can never leave the
-    nonnegative integers.  Each state's (eta, lambda/eta) is computed
-    once per path, on its first visit.
-    """
-    _check_chain(model, T)
-    # x moves by one per jump from 0 and never goes negative, so a state
-    # not yet in the list is always the next one to append
-    known: list[tuple[float, float]] = []
-
-    def rates_at(x: int) -> tuple[float, float]:
-        if x == len(known):
-            known.append(_state_rates(model, x))
-        return known[x]
-
-    return _jump_path(stream.generator(), T, rates_at)
-
-
-def _zeta_rates(x):
-    """(eta, p_up) of the reference walk, for a state or an array of lanes."""
-    return 1.0, 0.5
-
-
-def simulate_zeta(T: float, stream: RngStream) -> Trajectory:
-    """Reference walk on [0, T]: unit-rate jump epochs, fair +-1 signs."""
-    _check_horizon(T)
-    return _jump_path(stream.generator(), T, _zeta_rates)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +417,8 @@ class _StateTable:
 class _ChainRates(_StateTable):
     """rates_at of the chain for an array of lane states.
 
-    Per-state (eta, p_up) come from _state_rates, the doubles of the
-    single-path kernel.  A state the model cannot serve raises when a
-    lane first reaches it.
+    Per-state (eta, p_up) are the doubles _state_rates computes.  A
+    state the model cannot serve raises when a lane first reaches it.
     """
 
     def __init__(self, model: RateModel) -> None:
@@ -538,17 +429,27 @@ class _ChainRates(_StateTable):
         return eta[x], p_up[x]
 
 
-def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool) -> _Lanes:
-    """_jump_path for every generator of gens at once, in numpy lockstep.
+def _zeta_rates(x):
+    """rates_at of the reference walk: (eta, p_up) = (1, 1/2) as scalars
+    for any array of lane states."""
+    return 1.0, 0.5
 
-    Lane i draws from gens[i] exactly what _jump_path draws from it: a
-    row of _BLOCK exponentials at the start and whenever the lane's row
-    runs out, a row of _BLOCK uniforms at its first jump and then every
-    _BLOCK jumps, filled in place with out=, and the same redraw of a
-    holding time that does not move t.  Each step applies _jump_path's
-    arithmetic to every running lane; rates_at maps an array of lane
-    states to their (eta, p_up), arrays or scalars.  A lane retires when
-    its next jump time reaches T, or, with stop_below_zero, at its first
+
+def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool) -> _Lanes:
+    """Event-driven paths from state 0 on [0, T], one lane per generator
+    of gens, advanced together in numpy lockstep.
+
+    rates_at maps an array of lane states to their (eta, p_up), arrays
+    or scalars; it is called on entering each state, so it may raise for
+    a state some lane reaches.  A lane's holding time at x is
+    exponential with rate eta, t += dt / eta, and its jump is up iff a
+    uniform draw is below p_up.  A draw dt that does not move t forward
+    in floating point (a zero draw among them) is drawn again, so jump
+    times stay strictly increasing.  Lane i draws from gens[i] alone,
+    filling rows in place with out=: a row of _BLOCK exponentials at the
+    start and whenever its row runs out, and a row of _BLOCK uniforms at
+    its first jump and then every _BLOCK jumps.  A lane retires when its
+    next jump time reaches T, or, with stop_below_zero, at its first
     negative state (after one more holding time, which draws only from
     its own generator).
     """
@@ -633,7 +534,7 @@ def _lane_blocks(words, seed: int, T: float, rates_at, keep_paths: bool,
     Blocks are _LANES wide, and _WIDE_LANES wide after the first block
     whose longest lane made more than _LONG_WALK jumps.  The width only
     decides which lanes share a numpy call: every lane draws from its own
-    generator in the kernel's order, so no draw depends on it.
+    generator in _walk_lanes' order, so no draw depends on it.
     """
     seed_words = _seed_words_type()
     Generator, PCG64, SeedSequence = np.random.Generator, np.random.PCG64, np.random.SeedSequence
@@ -665,6 +566,37 @@ def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
     words = _replica_words(seed, start, stop)
     _check_horizon(T)
     return _lane_blocks(words, seed, T, _zeta_rates, True, True)
+
+
+def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:
+    """The path of stream's replica: a one-lane walk on the generator
+    that stream.generator() would build.  Times in (0, T) and signs of
+    +-1 are what Trajectory checks, so it is built without rechecking."""
+    words = iter([(stream.replica_index, None)])
+    lanes = next(_lane_blocks(words, stream.seed, T, rates_at, True, False))
+    times, signs = lanes.path(0)
+    return _unvalidated(
+        Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0
+    )
+
+
+def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
+    """Exact simulation of the birth-death chain from state 0 on [0, T].
+
+    At state x the holding time is exponential with rate eta(x) and the
+    jump is up with probability lambda(x)/eta(x).  At x = 0 that
+    probability is 1 (mu(0) = 0), so the walk can never leave the
+    nonnegative integers.  The path is replica stream.replica_index of
+    the lane walk the estimators run.
+    """
+    _check_chain(model, T)
+    return _one_path(stream, T, _ChainRates(model))
+
+
+def simulate_zeta(T: float, stream: RngStream) -> Trajectory:
+    """Reference walk on [0, T]: unit-rate jump epochs, fair +-1 signs."""
+    _check_horizon(T)
+    return _one_path(stream, T, _zeta_rates)
 
 
 def in_path_space(traj: Trajectory) -> bool:

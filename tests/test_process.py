@@ -1,17 +1,17 @@
-import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bdlab import process
 from bdlab.errors import PreconditionError
-from bdlab.harness import derive_seed
+from bdlab.harness import ExperimentConfig, derive_seed, emit_results, run_simulate
 from bdlab.paths import PiecewiseFunction
 from bdlab.process import (
     _BLOCK,
     _ChainRates,
-    _jump_path,
     _lane_blocks,
     _replica_words,
     _xi_lanes,
@@ -25,7 +25,6 @@ from bdlab.process import (
     birth_rate,
     death_rate,
     in_path_space,
-    replica_streams,
     simulate_xi,
     simulate_zeta,
     total_rate,
@@ -37,6 +36,7 @@ from bdlab.weights import (
     direct_estimate,
     importance_estimate,
 )
+from reference_walk import reference_xi, reference_zeta
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
 
@@ -152,12 +152,19 @@ def test_xi_paths_stay_in_path_space():
         assert all(0.0 < t < 4.0 for t in traj.jump_times)
 
 
+# the large samples below walk replicas 0..n-1 of a seed a block of lanes
+# at a time: replica r is the path simulate_xi or simulate_zeta gives for
+# RngStream(seed, r), without a walk per call
+
+
+def _zeta_blocks(T, seed, n, keep_paths=False):
+    return _lane_blocks(_replica_words(seed, 0, n), seed, T, _zeta_rates, keep_paths, False)
+
+
 def test_xi_mean_final_state_matches_exact_mean():
     # mean of the closed-form terminal law at T=5 is 1 - exp(-5)
     n = 100_000
-    total = 0
-    for r in range(n):
-        total += simulate_xi(UNIT, 5.0, RngStream(11, r)).final_state()
+    total = sum(int(lanes.final.sum()) for lanes in _xi_lanes(UNIT, 5.0, 11, 0, n, False))
     mean = total / n
     a = 1.0 - math.exp(-5.0)
     se = math.sqrt(a / n)
@@ -166,9 +173,7 @@ def test_xi_mean_final_state_matches_exact_mean():
 
 def test_zeta_zero_jump_fraction():
     n = 100_000
-    zeros = sum(
-        1 for r in range(n) if not simulate_zeta(3.0, RngStream(13, r)).jump_signs
-    )
+    zeros = sum(int(np.count_nonzero(lanes.jumps == 0)) for lanes in _zeta_blocks(3.0, 13, n))
     p = math.exp(-3.0)
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(zeros / n - p) <= 4.0 * se
@@ -178,10 +183,10 @@ def test_zeta_jump_count_and_sign_split():
     n = 100_000
     total = 0
     ups = 0
-    for r in range(n):
-        traj = simulate_zeta(3.0, RngStream(17, r))
-        total += len(traj.jump_signs)
-        ups += sum(1 for s in traj.jump_signs if s == 1)
+    for lanes in _zeta_blocks(3.0, 17, n):
+        total += int(lanes.jumps.sum())
+        # a lane's final state is its ups less its downs
+        ups += int((lanes.jumps + lanes.final).sum()) // 2
     se_n = math.sqrt(3.0 / n)
     assert abs(total / n - 3.0) <= 4.0 * se_n
     # up-jumps alone form a rate-1/2 process
@@ -196,10 +201,8 @@ def test_xi_holding_time_at_zero():
     # leaves conditioning bias ~1e-4, far below the 4-sigma band
     n = 20_000
     times = []
-    for r in range(n):
-        traj = simulate_xi(UNIT, 12.0, RngStream(19, r))
-        if traj.jump_times:
-            times.append(traj.jump_times[0])
+    for lanes in _xi_lanes(UNIT, 12.0, 19, 0, n, True):
+        times += lanes.times[lanes.start[:-1][lanes.jumps > 0]].tolist()
     mean = sum(times) / len(times)
     se = 1.0 / math.sqrt(len(times))
     assert abs(mean - 1.0) <= 4.0 * se
@@ -209,13 +212,14 @@ def test_xi_jump_direction_frequency_from_state_one():
     # from state 1 under P=Q=1 the up-probability is 1/2
     ups = 0
     outs = 0
-    for r in range(5_000):
-        traj = simulate_xi(UNIT, 5.0, RngStream(23, r))
-        states = traj.states()
-        for i, s in enumerate(traj.jump_signs):
-            if states[i] == 1:
-                outs += 1
-                ups += s == 1
+    for lanes in _xi_lanes(UNIT, 5.0, 23, 0, 5_000, True):
+        for i in range(lanes.final.size):
+            x = 0
+            for s in lanes.path(i)[1]:
+                if x == 1:
+                    outs += 1
+                    ups += s == 1
+                x += s
     se = math.sqrt(0.25 / outs)
     assert abs(ups / outs - 0.5) <= 4.0 * se
 
@@ -262,145 +266,87 @@ def test_replica_stream_words_equal_seed_sequence():
     checked = 0
     for seed in WORD_SEEDS:
         for start, stop in WORD_SPANS:
-            streams = list(replica_streams(seed, start, stop))
-            assert streams == [RngStream(seed, r) for r in range(start, stop)]
-            got = np.array([s.seed_words for s in streams])
+            rows = list(_replica_words(seed, start, stop))
+            assert [r for r, _ in rows] == list(range(start, stop))
+            got = np.array([words for _, words in rows])
             want = np.array([
                 np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
                 for r in range(start, stop)
             ])
             assert got.dtype == np.uint64
             np.testing.assert_array_equal(got, want)
-            checked += len(streams)
+            checked += len(rows)
     assert checked >= 10**5
 
 
 def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
-    streams = list(replica_streams(9, 2**64 - 2, 2**64 + 2))
-    assert all(s.seed_words is None for s in streams)
-    assert streams[-1].generator().random() == RngStream(9, 2**64 + 1).generator().random()
+    start, stop = 2**64 - 2, 2**64 + 2
+    rows = list(_replica_words(9, start, stop))
+    assert [r for r, _ in rows] == list(range(start, stop))
+    # a block that reaches 2**64 keeps the per-replica SeedSequence, and
+    # the lanes walk on the generator of RngStream(9, r)
+    assert all(words is None for _, words in rows)
+    lanes = next(_lane_blocks(iter(rows), 9, 3.0, _zeta_rates, True, False))
+    for i, r in enumerate(range(start, stop)):
+        want = reference_zeta(3.0, RngStream(9, r).generator())
+        assert _lane_jumps(lanes, i) == want
+        assert _jumps(simulate_zeta(3.0, RngStream(9, r))) == want
     with pytest.raises(PreconditionError):
-        list(replica_streams(2**64, 0, 3))
+        list(_replica_words(2**64, 0, 3))
     with pytest.raises(PreconditionError):
-        list(replica_streams(0, -1, 3))
-    assert list(replica_streams(0, 5, 5)) == []
-
-
-def test_replica_streams_are_frozen_rng_streams():
-    for r, stream in zip(range(10, 13), replica_streams(5, 10, 13)):
-        assert type(stream) is RngStream
-        assert stream == RngStream(5, r)
-        assert repr(stream) == repr(RngStream(5, r))
-        assert hash(stream) == hash(RngStream(5, r))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            stream.seed = 1
-
-
-def test_replica_streams_simulate_the_same_paths():
-    n = 3000
-    xi = [simulate_xi(UNIT, 2.0, s) for s in replica_streams(41, 0, n)]
-    zeta = [simulate_zeta(3.0, s) for s in replica_streams(43, 0, n)]
-    assert xi == [simulate_xi(UNIT, 2.0, RngStream(41, r)) for r in range(n)]
-    assert zeta == [simulate_zeta(3.0, RngStream(43, r)) for r in range(n)]
+        list(_replica_words(0, -1, 3))
+    assert list(_replica_words(0, 5, 5)) == []
 
 
 # ---------------------------------------------------------------------------
-# the shared jump kernel against the block-draw loops it replaced
-
-
-class _ReferenceDraws:
-    def __init__(self, gen):
-        self._gen = gen
-        self._exp = []
-        self._uni = []
-        self._ei = 0
-        self._ui = 0
-
-    def exponential(self):
-        if self._ei >= len(self._exp):
-            self._exp = self._gen.standard_exponential(128).tolist()
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return v
-
-    def uniform(self):
-        if self._ui >= len(self._uni):
-            self._uni = self._gen.random(128).tolist()
-            self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return v
-
-
-def _reference_advance(draws, t, rate):
-    while True:
-        dt = draws.exponential()
-        if dt == 0.0:
-            continue
-        t_next = t + dt / rate
-        if t_next > t:
-            return t_next
-
-
-def _reference_xi(model, T, stream):
-    draws = _ReferenceDraws(stream.generator())
-    t, x = 0.0, 0
-    times, signs = [], []
-    while True:
-        lam = birth_rate(model, x)
-        eta = lam + death_rate(model, x)
-        t = _reference_advance(draws, t, eta)
-        if t >= T:
-            break
-        if draws.uniform() < lam / eta:
-            x += 1
-            signs.append(1)
-        else:
-            x -= 1
-            signs.append(-1)
-        times.append(t)
-    return tuple(times), tuple(signs)
-
-
-def _reference_zeta(T, stream):
-    draws = _ReferenceDraws(stream.generator())
-    t = 0.0
-    times, signs = [], []
-    while True:
-        t = _reference_advance(draws, t, 1.0)
-        if t >= T:
-            break
-        signs.append(1 if draws.uniform() < 0.5 else -1)
-        times.append(t)
-    return tuple(times), tuple(signs)
+# the lane walk, and simulate_xi/simulate_zeta as one replica of it, against
+# the block-draw reference loops of tests/reference_walk.py
 
 
 class _Recording:
-    """A stream whose generator logs every draw call it serves."""
+    """A generator that logs the kind and size of every draw call it serves."""
 
-    def __init__(self, stream, log):
-        self._stream = stream
+    def __init__(self, gen, log):
+        self._gen = gen
         self._log = log
 
-    def generator(self):
-        gen = self._stream.generator()
-        log = self._log
+    def standard_exponential(self, size=None, out=None):
+        self._log.append(("exp", size if out is None else out.size))
+        return self._gen.standard_exponential(size, out=out)
 
-        class Gen:
-            def standard_exponential(self, size):
-                log.append(("exp", size))
-                return gen.standard_exponential(size)
-
-            def random(self, size):
-                log.append(("uni", size))
-                return gen.random(size)
-
-        return Gen()
+    def random(self, size=None, out=None):
+        self._log.append(("uni", size if out is None else out.size))
+        return self._gen.random(size, out=out)
 
 
 def _jumps(traj):
     return traj.jump_times, traj.jump_signs
+
+
+def _lane_jumps(lanes, i):
+    times, signs = lanes.path(i)
+    return tuple(times), tuple(signs)
+
+
+def _lane_paths(blocks):
+    """Every replica's (times, signs) across blocks, in replica order."""
+    for lanes in blocks:
+        for i in range(lanes.final.size):
+            yield _lane_jumps(lanes, i)
+
+
+def _assert_draw_calls_match(n, T, model, seed):
+    """Lanes 0..n-1 make the draw calls, in kind, size and order, that the
+    reference loop makes for each replica alone."""
+    logs, want = [[] for _ in range(n)], [[] for _ in range(n)]
+    rates = _zeta_rates if model is None else _ChainRates(model)
+    _walk_lanes([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)],
+                T, rates, True, False)
+    for r in range(n):
+        gen = _Recording(RngStream(seed, r).generator(), want[r])
+        reference_zeta(T, gen) if model is None else reference_xi(model, T, gen)
+    assert logs == want
+    assert any(("uni", _BLOCK) in log for log in logs)
 
 
 KERNEL_TABLE = RateModel(
@@ -418,28 +364,25 @@ KERNEL_MODELS = [
 @pytest.mark.parametrize("model,T", KERNEL_MODELS)
 def test_jump_kernel_xi_equals_block_draw_reference(model, T):
     jumps = 0
-    for r, stream in enumerate(replica_streams(61, 0, 2000)):
-        got = _jumps(simulate_xi(model, T, stream))
-        assert got == _reference_xi(model, T, RngStream(61, r))
+    for r, got in enumerate(_lane_paths(_xi_lanes(model, T, 61, 0, 2000, True))):
+        assert got == reference_xi(model, T, RngStream(61, r).generator())
         jumps += len(got[1])
     assert jumps > 2000
-    # the same draw calls in the same order, so traced draw blocks agree
     for r in range(20):
-        new_log, ref_log = [], []
-        simulate_xi(model, T, _Recording(RngStream(61, r), new_log))
-        _reference_xi(model, T, _Recording(RngStream(61, r), ref_log))
-        assert new_log == ref_log
+        want = reference_xi(model, T, RngStream(61, r).generator())
+        assert _jumps(simulate_xi(model, T, RngStream(61, r))) == want
+    _assert_draw_calls_match(20, T, model, 61)
 
 
 def test_jump_kernel_zeta_equals_block_draw_reference():
     for T in (3.0, 200.0):
-        for r, stream in enumerate(replica_streams(67, 0, 2000 if T < 100 else 200)):
-            got = _jumps(simulate_zeta(T, stream))
-            assert got == _reference_zeta(T, RngStream(67, r))
-        new_log, ref_log = [], []
-        simulate_zeta(T, _Recording(RngStream(67, 0), new_log))
-        _reference_zeta(T, _Recording(RngStream(67, 0), ref_log))
-        assert new_log == ref_log
+        n = 2000 if T < 100 else 200
+        for r, got in enumerate(_lane_paths(_zeta_blocks(T, 67, n, True))):
+            assert got == reference_zeta(T, RngStream(67, r).generator())
+        for r in range(20):
+            want = reference_zeta(T, RngStream(67, r).generator())
+            assert _jumps(simulate_zeta(T, RngStream(67, r))) == want
+        _assert_draw_calls_match(20, T, None, 67)
 
 
 def test_jump_kernel_raises_where_the_table_runs_out():
@@ -447,7 +390,7 @@ def test_jump_kernel_raises_where_the_table_runs_out():
     messages = []
     for r in range(2000):
         try:
-            want = _reference_xi(short, 4.0, RngStream(71, r))
+            want = reference_xi(short, 4.0, RngStream(71, r).generator())
         except PreconditionError as exc:
             want = str(exc)
             messages.append(want)
@@ -460,22 +403,37 @@ def test_jump_kernel_raises_where_the_table_runs_out():
     assert set(messages) == {"state 4 outside rate table (size 4)"}
 
 
-class _FixedStream:
-    """A stream that is its own generator: every block it serves starts
-    with the given draws, padded to full size with the last of them."""
+class _FixedGen:
+    """A generator whose every block holds the given draws, padded to full
+    size with the last of them; serves both sized and out= calls.
 
-    def __init__(self, exps, unis):
+    The k-th call (from 0, counting both kinds) scales its exponentials by
+    s = 1 + k/drift and its uniforms by 1/s, so zeros stay zeros, uniforms
+    stay below 1, and a row drawn early differs from the one due then;
+    drift=math.inf serves the draws unscaled.
+    """
+
+    def __init__(self, exps, unis, drift=1024):
         self._exps = exps
         self._unis = unis
+        self._drift = drift
+        self._calls = 0
 
-    def generator(self):
-        return self
+    def _block(self, draws, size, out, power):
+        values = (draws + draws[-1:] * _BLOCK)[: _BLOCK if out is None else out.size]
+        scale = (1.0 + self._calls / self._drift) ** power
+        self._calls += 1
+        values = [v * scale for v in values]
+        if out is None:
+            return np.array(values[:size])
+        out[:] = values
+        return out
 
-    def standard_exponential(self, size):
-        return np.array((self._exps + self._exps[-1:] * size)[:size])
+    def standard_exponential(self, size=None, out=None):
+        return self._block(self._exps, size, out, 1)
 
-    def random(self, size):
-        return np.array((self._unis + self._unis[-1:] * size)[:size])
+    def random(self, size=None, out=None):
+        return self._block(self._unis, size, out, -1)
 
 
 @pytest.mark.parametrize(
@@ -488,14 +446,14 @@ class _FixedStream:
     ],
 )
 def test_jump_kernel_redraws_like_the_reference(exps, T):
-    unis = [0.25, 0.75, 0.1]
-    for model in (UNIT, KERNEL_TABLE):
-        got = _jumps(simulate_xi(model, T, _FixedStream(exps, unis)))
-        assert got == _reference_xi(model, T, _FixedStream(exps, unis))
-        assert len(got[0]) >= 2
-    got = _jumps(simulate_zeta(T, _FixedStream(exps, unis)))
-    assert got == _reference_zeta(T, _FixedStream(exps, unis))
-    assert len(got[0]) >= 2
+    # one lane, as simulate_xi and simulate_zeta walk it.  The second jump
+    # of UNIT (from state 1) and of zeta draws u = 1/2 at p_up = 1/2, and
+    # u < p_up fails, so it goes down
+    make = lambda i: _FixedGen(exps, [0.25, 0.5, 0.75, 0.1], math.inf)  # noqa: E731
+    for model in (UNIT, KERNEL_TABLE, None):
+        assert _assert_lanes_match_reference(make, 1, T, model) >= 2
+    for rates in (_ChainRates(UNIT), _zeta_rates):
+        assert _walk_lanes([make(0)], T, rates, True, False).path(0)[1] == [1, -1]
 
 
 def test_kernel_paths_equal_their_validated_rebuild():
@@ -508,43 +466,66 @@ def test_kernel_paths_equal_their_validated_rebuild():
         Trajectory(horizon=1.0, jump_times=(0.5, 0.5), jump_signs=(1, 1))
 
 
+# sha256 of simulate's CSV on configs/simulate.json, and of the float.hex
+# jump times and the signs of 300 paths (each path as its jump count, then
+# its times, then its signs), recorded on the single-path engine that
+# simulate_xi and simulate_zeta ran before they became one lane of the walk
+SIMULATE_PINS = {
+    "csv xi": "072b05ff223199d749a9b5b76f6aebcf628fe1d8fa8214f3d5fb1de9b45960eb",
+    "csv zeta": "3b4495ed96654c7e9684cf9b60b12b46f4dce7fc820dd4631c740d29010930ab",
+    "xi": "dfcb7031a40257ed7ac0537e3ee187dfce70a4de1a25aa110349235a701c1eea",
+    "zeta": "2ec9ce66890f252a0f823dd608184c28f34789ff91ecfea23e026bc6ae16b53c",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_v1_stream_pin_simulate():
+    config = ExperimentConfig.load(str(Path(__file__).resolve().parents[1] / "configs/simulate.json"))
+    for process in ("xi", "zeta"):
+        csv = emit_results(run_simulate(config, process=process), "csv")
+        assert _sha256(csv) == SIMULATE_PINS[f"csv {process}"]
+    chain = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+    # about 62 jumps a chain path and 150 a walk, so rows are refilled
+    paths = {
+        "xi": [simulate_xi(chain, 10.0, RngStream(137, r)) for r in range(300)],
+        "zeta": [simulate_zeta(150.0, RngStream(139, r)) for r in range(300)],
+    }
+    for name, trajs in paths.items():
+        values = []
+        for traj in trajs:
+            values += [len(traj.jump_signs), *traj.jump_times, *traj.jump_signs]
+        text = ",".join(v.hex() if isinstance(v, float) else str(v) for v in values)
+        assert _sha256(text) == SIMULATE_PINS[name]
+
+
 # ---------------------------------------------------------------------------
-# the lockstep walker against the single-path kernel on the same streams
+# the lockstep walker against the reference loops on the same streams
 
 
-def _chain_rates_at(model):
-    known = []
-
-    def rates_at(x):
-        if x == len(known):
-            lam = birth_rate(model, x)
-            eta = lam + death_rate(model, x)
-            known.append((eta, lam / eta))
-        return known[x]
-
-    return rates_at
-
-
-def _assert_lanes_match_kernel(make_gen, n, T, model=None, stop_below_zero=False):
-    """Walk n lanes together and each lane alone on equal generators."""
-    lane_rates = _zeta_rates if model is None else _ChainRates(model)
-    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, lane_rates, True, stop_below_zero)
+def _assert_lanes_match_reference(make_gen, n, T, model=None, stop_below_zero=False):
+    """Walk n lanes together, and each lane alone through the reference
+    loop, on equal generators."""
+    rates = _zeta_rates if model is None else _ChainRates(model)
+    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, rates, True, stop_below_zero)
     jumps = 0
     for i in range(n):
-        rates_at = _zeta_rates if model is None else _chain_rates_at(model)
-        traj = _jump_path(make_gen(i), T, rates_at)
+        gen = make_gen(i)
+        want = reference_zeta(T, gen) if model is None else reference_xi(model, T, gen)
         times, signs = lanes.path(i)
-        below = not in_path_space(traj)
-        assert lanes.below_zero[i] == (stop_below_zero and below)
+        states = np.cumsum((0,) + want[1])
+        assert lanes.below_zero[i] == (stop_below_zero and states.min() < 0)
         if lanes.below_zero[i]:
             # stopped at its first negative state: a prefix of the path
             k = lanes.jumps[i]
-            assert (times, signs) == (list(traj.jump_times[:k]), list(traj.jump_signs[:k]))
+            assert (times, signs) == (list(want[0][:k]), list(want[1][:k]))
             assert sum(signs) == -1 and min(np.cumsum(signs)) == -1
             continue
-        assert (tuple(times), tuple(signs)) == _jumps(traj)
-        assert lanes.final[i] == traj.final_state()
-        assert lanes.peak[i] == max(traj.states())
+        assert (tuple(times), tuple(signs)) == want
+        assert lanes.final[i] == states[-1]
+        assert lanes.peak[i] == states.max()
         jumps += len(signs)
     return jumps
 
@@ -555,28 +536,28 @@ def _stream_gen(seed):
 
 @pytest.mark.parametrize("model,T", KERNEL_MODELS)
 def test_lanes_equal_kernel_xi(model, T):
-    assert _assert_lanes_match_kernel(_stream_gen(83), 600, T, model) > 600
+    assert _assert_lanes_match_reference(_stream_gen(83), 600, T, model) > 600
 
 
 def test_lanes_equal_kernel_zeta():
     for T in (0.5, 3.0):
-        _assert_lanes_match_kernel(_stream_gen(89), 600, T)
-        _assert_lanes_match_kernel(_stream_gen(89), 600, T, stop_below_zero=True)
+        _assert_lanes_match_reference(_stream_gen(89), 600, T)
+        _assert_lanes_match_reference(_stream_gen(89), 600, T, stop_below_zero=True)
 
 
 def test_lanes_run_past_a_block_of_draws():
     # zeta at T=400 and xi at P=20, T=12 make several hundred jumps a lane,
     # so every lane refills both its exponential and its uniform row
-    assert _assert_lanes_match_kernel(_stream_gen(97), 12, 400.0) > 12 * 3 * _BLOCK
+    assert _assert_lanes_match_reference(_stream_gen(97), 12, 400.0) > 12 * 3 * _BLOCK
     fast = RateModel(kind="canonical", P=20.0, Q=1.0, l=0.0)
-    assert _assert_lanes_match_kernel(_stream_gen(97), 12, 12.0, fast) > 12 * 3 * _BLOCK
+    assert _assert_lanes_match_reference(_stream_gen(97), 12, 12.0, fast) > 12 * 3 * _BLOCK
 
 
 def test_lanes_equal_kernel_at_thousands_of_states():
     # lanes climb past 1,000 states at P = 2000, T = 1, through many
     # doublings of the chain's rate arrays
     fast = RateModel(kind="canonical", P=2000.0, Q=1.0, l=0.0)
-    assert _assert_lanes_match_kernel(_stream_gen(101), 8, 1.0, fast) > 8 * 1000
+    assert _assert_lanes_match_reference(_stream_gen(101), 8, 1.0, fast) > 8 * 1000
     # one state more per call: the arrays are rebuilt at 1, 2, 4, ... states,
     # and at a table's end (80 states), never past it
     for model, top, rebuilds_wanted in ((fast, 2000, 12), (KERNEL_TABLE, 79, 8)):
@@ -598,7 +579,7 @@ def test_lanes_raise_where_the_table_runs_out():
     messages = {}
     for r in range(300):
         try:
-            _jump_path(RngStream(71, r).generator(), 4.0, _chain_rates_at(short))
+            reference_xi(short, 4.0, RngStream(71, r).generator())
         except PreconditionError as exc:
             messages[r] = str(exc)
     assert 10 < len(messages) < 290
@@ -607,40 +588,9 @@ def test_lanes_raise_where_the_table_runs_out():
                     _ChainRates(short), False, False)
     assert str(exc.value) == "state 4 outside rate table (size 4)"
     assert set(messages.values()) == {str(exc.value)}
-    # the lanes that never leave the table walk on as the kernel does
+    # the lanes that never leave the table walk on as the reference does
     kept = [r for r in range(300) if r not in messages]
-    _assert_lanes_match_kernel(lambda i: RngStream(71, kept[i]).generator(), len(kept), 4.0, short)
-
-
-class _FixedGen:
-    """A generator whose every block holds the given draws, padded to full
-    size with the last of them; serves both sized and out= calls.
-
-    The k-th call (from 0, counting both kinds) scales its exponentials by
-    s = 1 + k/1024 and its uniforms by 1/s, so zeros stay zeros, uniforms
-    stay below 1, and a row drawn early differs from the one due then.
-    """
-
-    def __init__(self, exps, unis):
-        self._exps = exps
-        self._unis = unis
-        self._calls = 0
-
-    def _block(self, draws, size, out, power):
-        values = (draws + draws[-1:] * _BLOCK)[: _BLOCK if out is None else out.size]
-        scale = (1.0 + self._calls / 1024) ** power
-        self._calls += 1
-        values = [v * scale for v in values]
-        if out is None:
-            return np.array(values[:size])
-        out[:] = values
-        return out
-
-    def standard_exponential(self, size=None, out=None):
-        return self._block(self._exps, size, out, 1)
-
-    def random(self, size=None, out=None):
-        return self._block(self._unis, size, out, -1)
+    _assert_lanes_match_reference(lambda i: RngStream(71, kept[i]).generator(), len(kept), 4.0, short)
 
 
 # a zero draw, draws that do not move t = 1e20, and (second) blocks in
@@ -660,7 +610,7 @@ def test_lanes_redraw_like_the_kernel(T):
     draws = FIXED_DRAWS * 3
     make = lambda i: _FixedGen(*draws[i])  # noqa: E731
     for model in (UNIT, KERNEL_TABLE, None):
-        _assert_lanes_match_kernel(make, len(draws), T, model)
+        _assert_lanes_match_reference(make, len(draws), T, model)
     lanes = _walk_lanes([make(i) for i in range(len(draws))], T, _zeta_rates, True, False)
     assert lanes.jumps[1] == (4 if T > 1e20 else 0)
 
@@ -672,7 +622,7 @@ def test_lanes_that_redrew_refill_their_own_rows():
     draws = [([0.0, 0.0, 0.0] + [0.01] * 125, [0.6]), ([0.01], [0.6])] * 3
     make = lambda i: _FixedGen(*draws[i])  # noqa: E731
     for model in (UNIT, KERNEL_TABLE, None):
-        assert _assert_lanes_match_kernel(make, len(draws), 3.0, model) > len(draws) * 2 * _BLOCK
+        assert _assert_lanes_match_reference(make, len(draws), 3.0, model) > len(draws) * 2 * _BLOCK
 
 
 def test_draws_into_rows_equal_sized_draws():
@@ -781,7 +731,7 @@ def test_block_width_keeps_the_table_error(monkeypatch):
     out = []
     for r in range(1000):
         try:
-            simulate_xi(short, 10.0, RngStream(5, r))
+            reference_xi(short, 10.0, RngStream(5, r).generator())
         except PreconditionError as exc:
             out.append((r, str(exc)))
     first_out, message = out[0]

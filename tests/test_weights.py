@@ -18,7 +18,6 @@ from bdlab.process import (
     _zeta_lanes,
     in_path_space,
     simulate_xi,
-    simulate_zeta,
     total_rate,
 )
 from bdlab.rates import ScalingFamily, phi
@@ -42,6 +41,7 @@ from bdlab.weights import (
     _run_chunks,
     _terminal_chunk,
 )
+from reference_walk import reference_xi, reference_zeta
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
 NEG_INF = float("-inf")
@@ -236,7 +236,7 @@ def test_importance_weights_finite_iff_path_space():
     args = (UNIT, 2.0, 1.0, EventSpec.full_space(), 59, 0, 400)
     weights = _importance_chunk(args)
     for r, w in enumerate(weights):
-        inside = in_path_space(simulate_zeta(2.0, RngStream(59, r)))
+        inside = in_path_space(_reference_zeta_path(2.0, RngStream(59, r)))
         assert (w != NEG_INF) == inside
 
 
@@ -543,8 +543,20 @@ def test_v1_stream_pin_split_neighborhoods(threads):
             assert _digest(logw) == SPLIT_PINS[name][i], (name, event.center.mode)
 
 
+# per-replica references from the block-draw loops of tests/reference_walk.py,
+# which share no code with the lane walk that the chunks run
+
+
+def _reference_zeta_path(T, stream):
+    return Trajectory(T, *reference_zeta(T, stream.generator()))
+
+
+def _reference_xi_path(model, T, stream):
+    return Trajectory(T, *reference_xi(model, T, stream.generator()))
+
+
 def _reference_log_weight(model, T, p, event, stream):
-    traj = simulate_zeta(T, stream)
+    traj = _reference_zeta_path(T, stream)
     if in_path_space(traj) and event.occurs(traj, T, p):
         return log_density(model, traj)
     return NEG_INF
@@ -559,10 +571,11 @@ def test_chunks_equal_the_public_per_replica_functions(event):
         want = [_reference_log_weight(model, T, p, event, s) for s in streams]
         assert _importance_chunk((model, T, p, event, seed, start, stop)) == want
         assert 0 < sum(w != NEG_INF for w in want) < len(want) or event.kind == "full_space"
-        want = [0.0 if event.occurs(simulate_xi(model, T, s), T, p) else NEG_INF for s in streams]
+        paths = [_reference_xi_path(model, T, s) for s in streams]
+        want = [0.0 if event.occurs(traj, T, p) else NEG_INF for traj in paths]
         assert _direct_chunk((model, T, p, event, seed, start, stop)) == want
         finals = terminal_states(model, T, stop, seed)[start:]
-        assert finals == [simulate_xi(model, T, s).final_state() for s in streams]
+        assert finals == [traj.final_state() for traj in paths]
 
 
 def test_estimators_match_a_per_replica_stream_reference():
@@ -570,7 +583,7 @@ def test_estimators_match_a_per_replica_stream_reference():
     n, T = 4200, 1.0
     p = phi(ScalingFamily.exponential(1.0), T)
     window = EventSpec.terminal_window(0.0, 0.5)
-    xi = lambda seed, r: simulate_xi(UNIT, T, RngStream(seed, r))  # noqa: E731
+    xi = lambda seed, r: _reference_xi_path(UNIT, T, RngStream(seed, r))  # noqa: E731
     reference = {
         "importance": _estimate_from_logw(
             [_reference_log_weight(UNIT, T, p, window, RngStream(71, r)) for r in range(n)]
@@ -593,7 +606,7 @@ def test_estimators_match_a_per_replica_stream_reference():
 
 def test_chunks_past_two_to_the_64_keep_seed_sequence():
     start, stop = 2**64 - 3, 2**64 + 3
-    want = [simulate_xi(UNIT, 2.0, RngStream(9, r)).final_state() for r in range(start, stop)]
+    want = [_reference_xi_path(UNIT, 2.0, RngStream(9, r)).final_state() for r in range(start, stop)]
     assert _terminal_chunk((UNIT, 2.0, 9, start, stop)) == want
     window = EventSpec.terminal_window(0.0, 1.0)
     want = [_reference_log_weight(UNIT, 2.0, 1.0, window, RngStream(9, r)) for r in range(start, stop)]
