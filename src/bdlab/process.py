@@ -9,9 +9,9 @@ change-of-measure estimators in weights.py.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import ctypes
 import math
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -189,8 +189,10 @@ class RngStream:
     SeedSequence entropy mix of the pair.  The mix is a fixed, documented
     function: identical pairs reproduce identical draws bit for bit, and
     distinct replica indices give statistically independent streams.
-    simulate_xi and simulate_zeta build this same generator inside the
-    lane walk (see _lane_blocks) rather than through generator().
+    The lane walk behind the estimators, simulate_xi and simulate_zeta
+    builds no generator per replica: it re-keys a per-thread slot
+    generator to exactly the PCG64 state that generator() starts from
+    (see _pcg64_states and _Slots; new slots check this against numpy).
     """
 
     seed: int
@@ -209,29 +211,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(key))
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """PCG64's seed source for precomputed SeedSequence output.
-
-    Built on first use: its base class lives in numpy.random, which
-    importing bdlab does not load, so exact-only runs never pay for it.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        __slots__ = ("_words",)
-
-        def __init__(self, words: np.ndarray):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise PreconditionError("precomputed seed words serve only 4 uint64 words")
-            return self._words
-
-    return SeedWords
-
-
 # numpy SeedSequence constants (bit_generator.pyx, after M. E. O'Neill's
 # seed_seq_fe); every product and difference below wraps modulo 2**32
 _MASK32 = 0xFFFFFFFF
@@ -242,8 +221,10 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL = 4
-# replicas whose seed words are derived in one pass (the estimators' chunk)
+# replicas whose seed words are derived in one pass (the estimators' chunk);
+# below _SHORT_SPAN rows a per-replica SeedSequence is cheaper than the pass
 _WORDS_BLOCK = 4096
+_SHORT_SPAN = 16
 
 
 def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
@@ -291,24 +272,135 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1)
 
 
-def _replica_words(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | None]]:
-    """(r, SeedSequence((seed, r)) words) for r in start..stop-1.
+def _replica_words(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """SeedSequence((seed, r)).generate_state(4, np.uint64) for r in
+    start..stop-1, as uint64 arrays of up to _WORDS_BLOCK rows in order.
 
     The pair (seed, start) is validated before any words are derived;
-    every later index is larger, so no other pair needs checking.  Words
-    come from one vectorised pass per block of _WORDS_BLOCK replicas;
-    indices at or above 2**64 get None and keep the per-replica
-    SeedSequence.
+    every later index is larger, so no other pair needs checking.  A
+    block's words come from one vectorised pass, except that a block of
+    fewer than _SHORT_SPAN rows, or one reaching past 2**64, takes each
+    row from its own SeedSequence.
     """
     RngStream(seed, start)
-    return _word_rows(seed, start, stop)
+    return _word_blocks(seed, start, stop)
 
 
-def _word_rows(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.ndarray | None]]:
+def _word_blocks(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    SeedSequence = np.random.SeedSequence
     for lo in range(start, stop, _WORDS_BLOCK):
         hi = min(lo + _WORDS_BLOCK, stop)
-        rows = _seed_words(seed, lo, hi) if hi <= 2**64 else [None] * (hi - lo)
-        yield from zip(range(lo, hi), rows)
+        if hi - lo >= _SHORT_SPAN and hi <= 2**64:
+            yield _seed_words(seed, lo, hi)
+        else:
+            yield np.array([SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(lo, hi)])
+
+
+# PCG64's 128-bit LCG multiplier (numpy's pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT_HI = 0x2360ED051FC65DA4
+_PCG_MULT_LO = 0x4385DF649FCCF645
+
+
+def _mul_hi(a: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * m, from 32-bit halves."""
+    low32, shift = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = a & low32, a >> shift
+    m0, m1 = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    cross_a, cross_b = a1 * m0, a0 * m1
+    mid = ((a0 * m0) >> shift) + (cross_a & low32) + (cross_b & low32)
+    return a1 * m1 + (cross_a >> shift) + (cross_b >> shift) + (mid >> shift)
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """The PCG64 state that each row of SeedSequence words seeds.
+
+    PCG64 reads a row (w0, w1, w2, w3) as s = w0*2**64 + w1 and
+    q = w2*2**64 + w3, and its seeding (numpy's pcg64_set_seed, after
+    O'Neill's pcg_setseq_128_srandom_r) sets inc = 2q + 1 and
+    state = ((inc + s)*M + inc) mod 2**128.  The 128-bit sums and the
+    product are carried out on uint64 halves.  A row of the result is
+    (state low, state high, inc low, inc high), the order in which
+    numpy keeps them on a little-endian machine; new slots check it.
+    """
+    w0, w1, w2, w3 = words.T
+    one = np.uint64(1)
+    inc_lo = (w3 << one) | one
+    inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < w1)
+    mult_lo = np.uint64(_PCG_MULT_LO)
+    state_lo = lo * mult_lo + inc_lo
+    state_hi = (_mul_hi(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * mult_lo
+                + inc_hi + (state_lo < inc_lo))
+    return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1)
+
+
+def _state_key(gen: np.random.Generator) -> memoryview:
+    """A writable byte view of gen's PCG64 state and increment.
+
+    bit_generator.ctypes.state_address is numpy's pcg64_state, whose
+    first field points at the 32 bytes of the 128-bit state and inc.
+    """
+    state = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+    return memoryview((ctypes.c_uint64 * 4).from_address(state)).cast("B")
+
+
+def _rekey(keys: list[memoryview], states: np.ndarray) -> None:
+    """Write row i of states (a C-contiguous (n, 4) uint64 array) through keys[i]."""
+    src = memoryview(states).cast("B")
+    for key, at in zip(keys, range(0, 32 * len(states), 32)):
+        key[:] = src[at:at + 32]
+
+
+def _check_slots(gens: list, keys: list[memoryview], states: np.ndarray) -> None:
+    """Raise unless each new slot, seeded the public way, reads back the
+    state derived from its words through its key, and unless a slot
+    re-keyed to its neighbour's state draws the neighbour's first
+    exponential and uniform."""
+    read = np.array([np.frombuffer(key, dtype=np.uint64) for key in keys])
+    if np.array_equal(read, states):
+        first = [(gen.standard_exponential(), gen.random()) for gen in gens]
+        _rekey(keys, np.roll(states, -1, axis=0))
+        if [(gen.standard_exponential(), gen.random()) for gen in gens] == first[1:] + first[:1]:
+            return
+    raise RuntimeError(
+        f"numpy {np.__version__}: a PCG64 state read through bit_generator.ctypes."
+        "state_address is not the one SeedSequence seeds, so lane generators "
+        "cannot be re-keyed"
+    )
+
+
+class _Slots(threading.local):
+    """This thread's lane slots: generators that every block re-keys in
+    place, so no replica builds its own.
+
+    Slot i is a Generator(PCG64) and the _state_key view of its state.
+    Slots are made when a block first needs that many, and are checked
+    by _check_slots before any use.  Each thread has its own, and a
+    block's re-key overwrites whatever state a raised walk left behind.
+    """
+
+    def __init__(self) -> None:
+        self.gens: list[np.random.Generator] = []
+        self.keys: list[memoryview] = []
+
+    def keyed(self, states: np.ndarray) -> list[np.random.Generator]:
+        """The first len(states) slot generators, each re-keyed to its
+        row of states (_pcg64_states rows, C-contiguous)."""
+        n = len(states)
+        if n > len(self.gens):
+            seeds = [np.random.SeedSequence(i) for i in range(len(self.gens), n)]
+            gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+            keys = [_state_key(gen) for gen in gens]
+            _check_slots(gens, keys, _pcg64_states(
+                np.array([seed.generate_state(4, np.uint64) for seed in seeds])))
+            self.gens += gens
+            self.keys += keys
+        _rekey(self.keys, states)
+        return self.gens[:n]
+
+
+_slots = _Slots()
 
 
 def _unvalidated(cls: type, **fields):
@@ -526,26 +618,25 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         eta, p_up = rates_at(x)
 
 
-def _lane_blocks(words, seed: int, T: float, rates_at, keep_paths: bool,
+def _lane_blocks(words: Iterator[np.ndarray], T: float, rates_at, keep_paths: bool,
                  stop_below_zero: bool) -> Iterator[_Lanes]:
-    """_walk_lanes over blocks of replicas, each on its own PCG64 built
-    from its seed words (or SeedSequence((seed, r)) past 2**64).
+    """_walk_lanes over blocks of replicas, lane i of a block on this
+    thread's slot generator i re-keyed to its replica's PCG64 state.
 
-    Blocks are _LANES wide, and _WIDE_LANES wide after the first block
-    whose longest lane made more than _LONG_WALK jumps.  The width only
-    decides which lanes share a numpy call: every lane draws from its own
-    generator in _walk_lanes' order, so no draw depends on it.
+    words yields the replicas' seed words as _replica_words does.  Blocks
+    are _LANES wide, and _WIDE_LANES wide after the first block whose
+    longest lane made more than _LONG_WALK jumps.  The width only decides
+    which lanes share a numpy call: every lane draws from its own state
+    in _walk_lanes' order, so no draw depends on it.
     """
-    seed_words = _seed_words_type()
-    Generator, PCG64, SeedSequence = np.random.Generator, np.random.PCG64, np.random.SeedSequence
-    width = _LANES
-    while block := list(itertools.islice(words, width)):
-        # the generators live only as long as their walk
-        lanes = _walk_lanes(
-            [Generator(PCG64(SeedSequence((seed, r)) if w is None else seed_words(w)))
-             for r, w in block],
-            T, rates_at, keep_paths, stop_below_zero,
-        )
+    width, states = _LANES, np.empty((0, 4), dtype=np.uint64)
+    while True:
+        while len(states) < width and (more := next(words, None)) is not None:
+            states = np.concatenate((states, _pcg64_states(more)))
+        if not len(states):
+            return
+        block, states = states[:width], states[width:]
+        lanes = _walk_lanes(_slots.keyed(block), T, rates_at, keep_paths, stop_below_zero)
         if lanes.jumps.max() > _LONG_WALK:
             width = _WIDE_LANES
         yield lanes
@@ -557,7 +648,7 @@ def _xi_lanes(model: RateModel, T: float, seed: int, start: int, stop: int,
     lanes at a time (see _lane_blocks)."""
     words = _replica_words(seed, start, stop)
     _check_chain(model, T)
-    return _lane_blocks(words, seed, T, _ChainRates(model), keep_paths, False)
+    return _lane_blocks(words, T, _ChainRates(model), keep_paths, False)
 
 
 def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
@@ -565,15 +656,16 @@ def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
     its first negative state, a block of lanes at a time."""
     words = _replica_words(seed, start, stop)
     _check_horizon(T)
-    return _lane_blocks(words, seed, T, _zeta_rates, True, True)
+    return _lane_blocks(words, T, _zeta_rates, True, True)
 
 
 def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:
-    """The path of stream's replica: a one-lane walk on the generator
-    that stream.generator() would build.  Times in (0, T) and signs of
-    +-1 are what Trajectory checks, so it is built without rechecking."""
-    words = iter([(stream.replica_index, None)])
-    lanes = next(_lane_blocks(words, stream.seed, T, rates_at, True, False))
+    """The path of stream's replica: a one-lane walk on the state that
+    stream.generator() starts from.  Times in (0, T) and signs of +-1
+    are what Trajectory checks, so it is built without rechecking."""
+    r = stream.replica_index
+    words = _word_blocks(stream.seed, r, r + 1)
+    lanes = next(_lane_blocks(words, T, rates_at, True, False))
     times, signs = lanes.path(0)
     return _unvalidated(
         Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0

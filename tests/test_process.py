@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +162,7 @@ def test_xi_paths_stay_in_path_space():
 
 
 def _zeta_blocks(T, seed, n, keep_paths=False):
-    return _lane_blocks(_replica_words(seed, 0, n), seed, T, _zeta_rates, keep_paths, False)
+    return _lane_blocks(_replica_words(seed, 0, n), T, _zeta_rates, keep_paths, False)
 
 
 def test_xi_mean_final_state_matches_exact_mean():
@@ -256,37 +260,44 @@ def test_simulate_rejects_bad_horizon():
 WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(2026, 3, i) for i in range(3)]
 WORD_SPANS = [
     (0, 8300),  # three 4096-replica blocks
+    (0, 4100),  # a last block too short for the vectorised pass
     (4000, 4200),  # across the first chunk boundary, as a mid-chunk span
+    (100, 115),  # one short block
+    (100, 116),  # the shortest vectorised block
     (2**32 - 2100, 2**32 + 2100),  # r gains a second uint32 word
     (2**64 - 100, 2**64),  # the largest indices with a vectorised row
 ]
+
+
+def _seed_sequence_words(seed, start, stop):
+    return np.array([
+        np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(start, stop)
+    ])
 
 
 def test_replica_stream_words_equal_seed_sequence():
     checked = 0
     for seed in WORD_SEEDS:
         for start, stop in WORD_SPANS:
-            rows = list(_replica_words(seed, start, stop))
-            assert [r for r, _ in rows] == list(range(start, stop))
-            got = np.array([words for _, words in rows])
-            want = np.array([
-                np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
-                for r in range(start, stop)
-            ])
+            blocks = list(_replica_words(seed, start, stop))
+            assert [len(b) for b in blocks] == [
+                min(lo + process._WORDS_BLOCK, stop) - lo
+                for lo in range(start, stop, process._WORDS_BLOCK)
+            ]
+            got = np.concatenate(blocks)
             assert got.dtype == np.uint64
-            np.testing.assert_array_equal(got, want)
-            checked += len(rows)
+            np.testing.assert_array_equal(got, _seed_sequence_words(seed, start, stop))
+            checked += len(got)
     assert checked >= 10**5
 
 
 def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
     start, stop = 2**64 - 2, 2**64 + 2
-    rows = list(_replica_words(9, start, stop))
-    assert [r for r, _ in rows] == list(range(start, stop))
-    # a block that reaches 2**64 keeps the per-replica SeedSequence, and
-    # the lanes walk on the generator of RngStream(9, r)
-    assert all(words is None for _, words in rows)
-    lanes = next(_lane_blocks(iter(rows), 9, 3.0, _zeta_rates, True, False))
+    # a block that reaches 2**64 takes each row from SeedSequence, and
+    # the lanes walk on the states of RngStream(9, r)'s generators
+    got = np.concatenate(list(_replica_words(9, start, stop)))
+    np.testing.assert_array_equal(got, _seed_sequence_words(9, start, stop))
+    lanes = next(_lane_blocks(_replica_words(9, start, stop), 3.0, _zeta_rates, True, False))
     for i, r in enumerate(range(start, stop)):
         want = reference_zeta(3.0, RngStream(9, r).generator())
         assert _lane_jumps(lanes, i) == want
@@ -296,6 +307,183 @@ def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
     with pytest.raises(PreconditionError):
         list(_replica_words(0, -1, 3))
     assert list(_replica_words(0, 5, 5)) == []
+
+
+# ---------------------------------------------------------------------------
+# lane slots: generators re-keyed to the PCG64 state SeedSequence seeds
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _GivenWords(np.random.bit_generator.ISeedSequence):
+    """A seed source that hands PCG64 the given four uint64 words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def _numpy_state(bit_generator):
+    """(state, inc) of a PCG64 as 128-bit ints, from numpy's state dict."""
+    state = bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _as_ints(row):
+    lo, hi, inc_lo, inc_hi = (int(w) for w in row)
+    return lo | hi << 64, inc_lo | inc_hi << 64
+
+
+def test_pcg64_states_equal_seed_sequence_seeding():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    indices = [0, 1, 4095, 4096, 2**64 - 1, 2**64, 2**64 + 5]
+    pairs = [(seed, r) for seed in seeds for r in indices]
+    words = np.array([
+        np.random.SeedSequence(pair).generate_state(4, np.uint64) for pair in pairs
+    ])
+    got = process._pcg64_states(words)
+    assert got.dtype == np.uint64 and got.shape == (len(pairs), 4)
+    for pair, row in zip(pairs, got):
+        want = _numpy_state(np.random.PCG64(np.random.SeedSequence(pair)))
+        assert _as_ints(row) == want, pair
+
+
+def test_pcg64_states_carry_every_128_bit_word():
+    top = 2**64 - 1
+    values = [0, 1, 2**32 - 1, 2**32, 2**63, top - 1, top, 0x9E3779B97F4A7C15]
+    rows = [(w0, w1, w2, w3) for w0 in (0, top) for w2 in (0, top)
+            for w1 in values for w3 in values]
+    rows += [(top,) * 4, (0,) * 4, (top, 0, top, 0), (0, top, 0, top), (1, top, 2**63, top)]
+    got = process._pcg64_states(np.array(rows, dtype=np.uint64))
+    carries = set()
+    for row, out in zip(rows, got):
+        w0, w1, w2, w3 = row
+        inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+        start = (inc + (w0 << 64 | w1)) % 2**128
+        want = ((start * PCG_MULT + inc) % 2**128, inc)
+        assert _as_ints(out) == want, row
+        assert want == _numpy_state(np.random.PCG64(_GivenWords(row))), row
+        # the carries out of each low word: inc's shift, the add, the
+        # product's low half and the final add
+        carries.add(("inc", w3 >> 63))
+        carries.add(("add", (inc % 2**64 + w1) >> 64))
+        carries.add(("mul", (start % 2**64) * (PCG_MULT % 2**64) >> 64 > 0))
+        carries.add(("end", (start * PCG_MULT % 2**64 + inc % 2**64) >> 64))
+    assert carries == {(name, bit) for name in ("inc", "add", "mul", "end") for bit in (0, 1)}
+    # the high half of 64 x 64-bit products, with operands whose 32-bit partial sums carry
+    a = np.array([0, 1, 2**32 - 1, 2**32, 2**63, top], dtype=np.uint64)
+    for m in (top, 2**32 + 1, PCG_MULT % 2**64, PCG_MULT >> 64):
+        assert process._mul_hi(a, m).tolist() == [int(x) * m >> 64 for x in a.tolist()]
+
+
+def _slot_states(pairs):
+    words = np.array([np.random.SeedSequence(pair).generate_state(4, np.uint64) for pair in pairs])
+    return process._pcg64_states(words)
+
+
+def test_rekeyed_slots_draw_like_fresh_generators():
+    slots = process._Slots()
+    for seed in (0, 5, 2**64 - 1):
+        pairs = [(seed, r) for r in (0, 1, 4096, 2**64 + 5)]
+        gens = slots.keyed(_slot_states(pairs))
+        assert len(gens) == 4 and gens == slots.gens
+        for pair, gen in zip(pairs, gens):
+            fresh = RngStream(*pair).generator()
+            assert _numpy_state(gen.bit_generator) == _numpy_state(fresh.bit_generator)
+            for draw in ("standard_exponential", "random"):
+                got, want = getattr(gen, draw)(256), getattr(fresh, draw)(256)
+                assert np.array_equal(got, want), (pair, draw)
+    # a narrower block re-keys only its own slots and keeps them all
+    assert len(slots.keyed(_slot_states([(3, 7)]))) == 1 and len(slots.gens) == 4
+
+
+@pytest.mark.parametrize("fault", ["read-back", "re-key"])
+def test_slot_self_check_refuses_a_mismatch(monkeypatch, fault):
+    if fault == "read-back":
+        # a view that reads zeros in place of the generator's state
+        monkeypatch.setattr(process, "_state_key", lambda gen: memoryview(bytearray(32)))
+    else:
+        monkeypatch.setattr(process, "_rekey", lambda keys, states: None)
+    slots = process._Slots()
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}:"):
+        slots.keyed(_slot_states([(1, 2), (3, 4)]))
+    assert slots.gens == []
+
+
+SLOT_CALLS = """
+from bdlab.process import RateModel
+from bdlab.paths import PiecewiseFunction
+from bdlab.weights import EventSpec, direct_estimate, importance_estimate
+LONG = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+center = PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3))
+def estimates():
+    return [f(LONG, 10.0, 10.0, EventSpec.neighborhood(center, 0.2), 600, 127)
+            for f in (direct_estimate, importance_estimate)]
+"""
+
+
+def test_slots_after_a_raised_walk_equal_a_fresh_process():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-c", SLOT_CALLS + "print(repr(estimates()))"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    short = RateModel(kind="table", table=KERNEL_TABLE.table[:7])
+    with pytest.raises(PreconditionError, match=r"^state 7 outside rate table \(size 7\)$"):
+        for _ in _xi_lanes(short, 10.0, 5, 0, 1000, True):
+            pass
+    names = {}
+    exec(SLOT_CALLS, names)
+    assert repr(names["estimates"]()) + "\n" == fresh
+
+
+def test_threads_keep_their_own_slots():
+    names = {}
+    exec(SLOT_CALLS, names)
+    want = names["estimates"]()
+    # more threads than cores, switching often, so walks on shared slots
+    # would interleave
+    start = threading.Barrier(3, timeout=60)
+    got, slots = {}, {}
+
+    def run(name):
+        start.wait()
+        got[name] = [names["estimates"]() for _ in range(3)]
+        slots[name] = process._slots.gens
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in "abc"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {name: [want] * 3 for name in "abc"}
+    ids = [set(map(id, slots[name])) for name in "abc"]
+    assert all(ids) and not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+
+
+def test_exact_runs_load_no_random_module_and_build_no_slot():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import bdlab\n"
+        "from bdlab import harness, process\n"
+        f"config = harness.ExperimentConfig.load({str(root / 'configs' / 'marginal_exp.json')!r})\n"
+        "assert harness.run_marginal_ldp_scan(config).rows\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "assert process._slots.gens == []\n"
+    )
+    subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                   env=dict(os.environ, PYTHONPATH=str(root / "src")))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +870,7 @@ def test_block_width_never_changes_a_replica(monkeypatch):
         "table": lambda: _xi_lanes(table, 20.0, 109, 0, 600, True),
         "table no paths": lambda: _xi_lanes(table, 20.0, 109, 0, 600, False),
         "zeta": lambda: _zeta_lanes(80.0, 113, 0, 600),
-        "zeta no paths": lambda: _lane_blocks(_replica_words(113, 0, 600), 113, 80.0,
+        "zeta no paths": lambda: _lane_blocks(_replica_words(113, 0, 600), 80.0,
                                               _zeta_rates, False, True),
     }
     want = {}
