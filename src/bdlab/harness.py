@@ -15,7 +15,8 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -72,19 +73,6 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-RESULT_COLUMNS = (
-    "T",
-    "phi",
-    "psi",
-    "log_prob",
-    "normalized",
-    "predicted",
-    "rel_se",
-    "n_hits",
-    "max_weight_share",
-    "flag",
-)
-
 POISSON_CHECK_COLUMNS = ("T", "n", "a_T", "tv_distance", "chi2_stat", "chi2_dof", "flag")
 
 # fixed column typing for parsing emitted tables back
@@ -115,18 +103,12 @@ class ResultRow:
                 raise PreconditionError(f"{name} must be finite or -inf, got {v}")
 
     def astuple(self) -> tuple:
-        return (
-            self.T,
-            self.phi,
-            self.psi,
-            self.log_prob,
-            self.normalized,
-            self.predicted,
-            self.rel_se,
-            self.n_hits,
-            self.max_weight_share,
-            self.flag,
-        )
+        """The field values in RESULT_COLUMNS order, not copied."""
+        return _row_values(self)
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_row_values = attrgetter(*RESULT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -554,46 +536,23 @@ def run_marginal_ldp_scan(config: ExperimentConfig) -> Table:
         psi = normalizer(scaling, T)
         raw = marginal_log_prob(P, Q, scaling, T, a, eps)
         flag = "empty_window" if raw == _NEG_INF else "exact"
-        rows.append(_exact_row(T, p, psi, raw, -a, flag))
+        rows.append(_row(T, p, psi, raw, -a, flag))
     return _table(config, RESULT_COLUMNS, rows)
 
 
-def _exact_row(T: float, p: float, psi: float, raw: float, predicted: float, flag: str) -> tuple:
-    """A closed-form row: no replicas, so no standard error and no hits."""
-    return ResultRow(
-        T=T,
-        phi=p,
-        psi=psi,
-        log_prob=raw,
-        normalized=_normalized(raw, psi),
-        predicted=predicted,
-        rel_se=0.0,
-        n_hits=0,
-        max_weight_share=0.0,
-        flag=flag,
-    ).astuple()
+def _row(T: float, p: float, psi: float, log_prob: float, predicted: float, flag: str,
+         est: Estimate | None = None) -> tuple:
+    """A result row.  A closed-form row (est None) has no replicas, so no
+    standard error, no hits and no weight share."""
+    diag = (0.0, 0, 0.0) if est is None else (
+        est.relative_std_error, est.n_hits, est.max_weight_share)
+    normalized = _normalized(log_prob, psi)
+    return ResultRow(T, p, psi, log_prob, normalized, predicted, *diag, flag).astuple()
 
 
-def _estimate_row(
-    T: float,
-    p: float,
-    psi: float,
-    est: Estimate,
-    predicted: float,
-    flag: str,
-) -> tuple:
-    return ResultRow(
-        T=T,
-        phi=p,
-        psi=psi,
-        log_prob=est.log_value,
-        normalized=_normalized(est.log_value, psi),
-        predicted=predicted,
-        rel_se=est.relative_std_error,
-        n_hits=est.n_hits,
-        max_weight_share=est.max_weight_share,
-        flag=flag,
-    ).astuple()
+def _verdict(check: str, ok: bool, *parts: str) -> str:
+    """A verdict flag: the parts, then check_ok or check_fail, joined by ';'."""
+    return ";".join(parts + (f"{check}_{'ok' if ok else 'fail'}",))
 
 
 def run_consistency_check(config: ExperimentConfig) -> Table:
@@ -614,53 +573,34 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
             "weights degenerate quickly beyond that",
             stacklevel=2,
         )
-    model = config.model
+    model, event = config.model, config.event
     rows = []
     for i, T in enumerate(config.t_grid):
-        n = config.samples[i]
         p = phi(scaling, T)
         psi = normalizer(scaling, T)
-        full = importance_estimate(
-            model, T, p, EventSpec.full_space(), n, derive_seed(config.seed, 1, i, 0),
-            config.threads,
-        )
+
+        def estimate(estimator, target: EventSpec, tag: int) -> Estimate:
+            seed = derive_seed(config.seed, 1, i, tag)
+            return estimator(model, T, p, target, config.samples[i], seed, config.threads)
+
+        full = estimate(importance_estimate, EventSpec.full_space(), 0)
         ok = abs(full.log_value) <= 4.0 * full.relative_std_error
-        rows.append(
-            _estimate_row(
-                T, p, psi, full, 0.0,
-                f"event=full_space;method=importance;normalization_{'ok' if ok else 'fail'}",
-            )
-        )
-        event = config.event
+        flag = _verdict("normalization", ok, "event=full_space", "method=importance")
+        rows.append(_row(T, p, psi, full.log_value, 0.0, flag, full))
         if event is None or event.kind == "full_space":
             continue
-        est_d = direct_estimate(
-            model, T, p, event, n, derive_seed(config.seed, 1, i, 1), config.threads
-        )
-        est_i = importance_estimate(
-            model, T, p, event, n, derive_seed(config.seed, 1, i, 2), config.threads
-        )
+        est_d = estimate(direct_estimate, event, 1)
+        est_i = estimate(importance_estimate, event, 2)
         z = agreement_z(est_d, est_i)
-        verdict = "agree_ok" if z <= 3.0 else "agree_fail"
         ref = None
         if event.kind == "terminal_window" and model.exact_law_available:
             raw_ref = poisson_log_window(model.P, model.Q, T, event.lo * p, event.hi * p)
             ref = _normalized(raw_ref, psi)
-        ref_tag = "exact" if ref is not None else "companion"
-        rows.append(
-            _estimate_row(
-                T, p, psi, est_d,
-                ref if ref is not None else _normalized(est_i.log_value, psi),
-                f"event={event.kind};method=direct;ref={ref_tag};z={z:.2f};{verdict}",
-            )
-        )
-        rows.append(
-            _estimate_row(
-                T, p, psi, est_i,
-                ref if ref is not None else _normalized(est_d.log_value, psi),
-                f"event={event.kind};method=importance;ref={ref_tag};z={z:.2f};{verdict}",
-            )
-        )
+        parts = (f"ref={'companion' if ref is None else 'exact'}", f"z={z:.2f}")
+        for method, est, other in (("direct", est_d, est_i), ("importance", est_i, est_d)):
+            predicted = _normalized(other.log_value, psi) if ref is None else ref
+            flag = _verdict("agree", z <= 3.0, f"event={event.kind}", f"method={method}", *parts)
+            rows.append(_row(T, p, psi, est.log_value, predicted, flag, est))
     return _table(config, RESULT_COLUMNS, rows)
 
 
@@ -685,7 +625,7 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
             raise PreconditionError(f"phi({T}) too large for an integer tail bound")
         psi = normalizer(scaling, T)
         raw = poisson_exact_log_tail(model.P, model.Q, T, math.ceil(a * p))
-        rows.append(_exact_row(T, p, psi, raw, predicted, "exact;anchor=terminal_tail"))
+        rows.append(_row(T, p, psi, raw, predicted, "exact;anchor=terminal_tail"))
     if config.mc_check_T is not None:
         T0 = config.mc_check_T
         n0 = config.mc_check_n
@@ -700,13 +640,8 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
         # may not sit more than 3 null standard errors below it
         se0 = math.sqrt(tail0 * (1.0 - tail0) / n0)
         p_hat = math.exp(est.log_value) if est.log_value != _NEG_INF else 0.0
-        dominates = p_hat >= tail0 - 3.0 * se0
-        rows.append(
-            _estimate_row(
-                T0, p0, psi0, est, predicted,
-                f"mc_sup;dominates_tail_{'ok' if dominates else 'fail'}",
-            )
-        )
+        flag = _verdict("dominates_tail", p_hat >= tail0 - 3.0 * se0, "mc_sup")
+        rows.append(_row(T0, p0, psi0, est.log_value, predicted, flag, est))
     return _table(config, RESULT_COLUMNS, rows)
 
 

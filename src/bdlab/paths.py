@@ -124,33 +124,19 @@ def scale_path(traj: Trajectory, T: float, phi_of_T: float) -> PiecewiseFunction
 
     Breakpoints are the jump times divided by T.  If two scaled jump
     times collide after rounding (or round up to 1.0), the collapsed
-    segment keeps the later state.
+    segment keeps the later state.  The breakpoints then start at 0.0,
+    grow strictly and end at 1.0, with one finite value per segment, so
+    the function is built without PiecewiseFunction's checks.
     """
     if traj.horizon != T:
         raise PreconditionError(
             f"trajectory horizon {traj.horizon} does not match T = {T}"
         )
     _check_phi(phi_of_T)
-    return _scaled_steps(traj.initial_state, traj.jump_times, traj.jump_signs, T, phi_of_T)
-
-
-def _check_phi(phi_of_T: float) -> None:
-    if not (phi_of_T > 0 and math.isfinite(phi_of_T)):
-        raise PreconditionError(f"phi_of_T must be positive, got {phi_of_T}")
-
-
-def _scaled_steps(x0: int, times, signs, T: float, phi_of_T: float) -> PiecewiseFunction:
-    """scale_path of the path from x0 with these jumps on [0, T], for a
-    positive finite phi_of_T and times in (0, T).
-
-    Breakpoints start at 0.0, grow strictly and end at 1.0, with one
-    finite value per segment, so the function is built without
-    PiecewiseFunction's checks.
-    """
+    x = traj.initial_state
     bps = [0.0]
-    vals = [x0 / phi_of_T]
-    x = x0
-    for t, s in zip(times, signs):
+    vals = [x / phi_of_T]
+    for t, s in zip(traj.jump_times, traj.jump_signs):
         x += s
         b = t / T
         if b <= bps[-1] or b >= 1.0:
@@ -160,6 +146,11 @@ def _scaled_steps(x0: int, times, signs, T: float, phi_of_T: float) -> Piecewise
             vals.append(x / phi_of_T)
     bps.append(1.0)
     return _unvalidated(PiecewiseFunction, breakpoints=tuple(bps), values=tuple(vals), mode="step")
+
+
+def _check_phi(phi_of_T: float) -> None:
+    if not (phi_of_T > 0 and math.isfinite(phi_of_T)):
+        raise PreconditionError(f"phi_of_T must be positive, got {phi_of_T}")
 
 
 def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
@@ -240,14 +231,14 @@ def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: Piec
 
     Yields (pieces, ends) per slice: the slice's k-th lane has the pieces
     pieces[ends[k]:ends[k+1]], at least one, all nonnegative, and
-    math.fsum of them is l1_distance(_scaled_steps(0, times_i, signs_i, T,
-    phi_of_T), center).
+    math.fsum of them is l1_distance(scale_path(path_i, T, phi_of_T),
+    center), path_i the Trajectory of lane i's jumps on [0, T].
 
     Lane i's jumps are times[start[i]:start[i+1]] and the signs there;
     every lane starts at 0.  Raw scaled times never decrease, so a jump
     opens a breakpoint exactly where it exceeds the previous jump's
     scaled time (0.0 before a lane's first) and stays below 1.0, as in
-    _scaled_steps; a segment keeps the state before the next opened
+    scale_path; a segment keeps the state before the next opened
     breakpoint.  Each segment is split at the center's breakpoints that
     lie strictly inside it, and each piece is l1_distance's piece, with
     its expressions in its order: a linear center's value at u is the

@@ -660,12 +660,15 @@ def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
 
 
 def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:
-    """The path of stream's replica: a one-lane walk on the state that
-    stream.generator() starts from.  Times in (0, T) and signs of +-1
+    """The path of stream's replica: a one-lane walk on slot 0, re-keyed
+    to the state that stream.generator() starts from, as numpy's PCG64
+    seeds it (a _pcg64_states row).  Times in (0, T) and signs of +-1
     are what Trajectory checks, so it is built without rechecking."""
-    r = stream.replica_index
-    words = _word_blocks(stream.seed, r, r + 1)
-    lanes = next(_lane_blocks(words, T, rates_at, True, False))
+    seq = np.random.SeedSequence((stream.seed, stream.replica_index))
+    key = np.random.PCG64(seq).state["state"]
+    state, inc = key["state"], key["inc"]
+    row = np.array([[state % 2**64, state >> 64, inc % 2**64, inc >> 64]], dtype=np.uint64)
+    lanes = _walk_lanes(_slots.keyed(row), T, rates_at, True, False)
     times, signs = lanes.path(0)
     return _unvalidated(
         Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0

@@ -184,15 +184,9 @@ def functional_A(model: RateModel, traj: Trajectory) -> float:
     an error here; estimator code screens such paths out (they carry
     zero weight) before ever calling this.
     """
-    return _functional_A(
-        model, traj.initial_state, traj.jump_times, traj.jump_signs, traj.horizon
-    )
-
-
-def _functional_A(model: RateModel, x: int, times, signs, horizon: float) -> float:
-    t_prev = 0.0
+    x, t_prev = traj.initial_state, 0.0
     terms: list[float] = []
-    for t, s in zip(times, signs):
+    for t, s in zip(traj.jump_times, traj.jump_signs):
         if x < 0:
             raise PreconditionError("eta undefined for negative states")
         terms.append(total_rate(model, x) * (t - t_prev))
@@ -200,7 +194,7 @@ def _functional_A(model: RateModel, x: int, times, signs, horizon: float) -> flo
         t_prev = t
     if x < 0:
         raise PreconditionError("eta undefined for negative states")
-    terms.append(total_rate(model, x) * (horizon - t_prev))
+    terms.append(total_rate(model, x) * (traj.horizon - t_prev))
     return math.fsum(terms)
 
 
@@ -212,12 +206,9 @@ def functional_B(model: RateModel, traj: Trajectory) -> float:
     simulatable model, so its log weight is -inf and the whole value is
     -inf (the path is unreachable for the chain).
     """
-    return _functional_B(model, traj.initial_state, traj.jump_signs)
-
-
-def _functional_B(model: RateModel, x: int, signs) -> float:
+    x = traj.initial_state
     terms: list[float] = []
-    for s in signs:
+    for s in traj.jump_signs:
         if x < 0:
             raise PreconditionError("rates undefined for negative states")
         nu = birth_rate(model, x) if s > 0 else death_rate(model, x)
@@ -237,29 +228,24 @@ def log_density(model: RateModel, traj: Trajectory) -> float:
     """
     if not in_path_space(traj):
         raise PreconditionError("log_density needs a path that stays nonnegative")
-    return _log_density(model, traj.jump_times, traj.jump_signs, traj.horizon)
-
-
-def _log_density(model: RateModel, times, signs, horizon: float) -> float:
-    """log_density of the path from 0 with these jumps, known to stay nonnegative."""
     return (
-        horizon
-        - _functional_A(model, 0, times, signs, horizon)
-        + _functional_B(model, 0, signs)
-        + len(signs) * math.log(2.0)
+        traj.horizon
+        - functional_A(model, traj)
+        + functional_B(model, traj)
+        + len(traj.jump_signs) * math.log(2.0)
     )
 
 
 def _density_row(model: RateModel, x: int) -> tuple[float, float, float]:
-    """(eta, ln lambda, ln mu) at state x: the doubles of _log_density's
-    terms there, with ln 0 = -inf for the dead jump of _functional_B."""
+    """(eta, ln lambda, ln mu) at state x: the doubles of log_density's
+    terms there, with ln 0 = -inf for the dead jump of functional_B."""
     eta = total_rate(model, x)
     mu = death_rate(model, x)
     return eta, math.log(birth_rate(model, x)), math.log(mu) if mu else _NEG_INF
 
 
 def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: float) -> list[float]:
-    """_log_density of each hit lane's path, bit for bit, and -inf for
+    """log_density of each hit lane's path, bit for bit, and -inf for
     every other lane of a reference-walk block.
 
     Each hit lane gets its jumps as entries, then one closing entry at T.
@@ -268,7 +254,7 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
     restarts at 0 for the next lane.  An entry's A term is eta(x) times
     the time since the lane's previous entry (or since 0.0), and a jump's
     B term is ln lambda(x) or ln mu(x), all from rates (a _StateTable of
-    _density_row).  These are the doubles _functional_A and _functional_B
+    _density_row).  These are the doubles functional_A and functional_B
     add, and math.fsum is correctly rounded, so a lane's sums do not
     depend on the order of its terms.  Rates are looked up only up to
     the hit lanes' peak, so a table model raises exactly when a hit lane

@@ -1,5 +1,6 @@
 """Exit codes, output routing, and flag overrides of the command line."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from bdlab.cli import main
-from bdlab.harness import RESULT_COLUMNS, parse_results
+from bdlab.cli import _build_parser, _run, main
+from bdlab.harness import RESULT_COLUMNS, emit_results, parse_results
 from bdlab.rates import ScalingFamily, phi, poisson_mean
 
 MARGINAL_CFG = {
@@ -273,3 +274,60 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ",".join(RESULT_COLUMNS)
+
+
+# sha256 of the CSV and JSON output of each shipped command at --threads 0,
+# recorded from the command line; the CSV data is the same at any thread count
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_OUTPUTS = {
+    "simulate --config configs/simulate.json --process xi": (
+        "072b05ff223199d749a9b5b76f6aebcf628fe1d8fa8214f3d5fb1de9b45960eb",
+        "c4dc0254ea13ff0cfb9583cf7339ebe5847b8d2bfadeb6d3f44952eab0bb16c8",
+    ),
+    "simulate --config configs/simulate.json --process zeta": (
+        "3b4495ed96654c7e9684cf9b60b12b46f4dce7fc820dd4631c740d29010930ab",
+        "6805a8673cc34f29c86405d27311b47348c1d173cd8ed06a2dc5ca227b0f61b7",
+    ),
+    "poisson-check --config configs/poisson_check.json": (
+        "9a01dcbbf4578a161408d0176c680c595cc77ea12c026e2f643107bb5ef54814",
+        "3516233124b3aef6a9db229fd291ff39e32b166e00acf2eab512ae741a3c114d",
+    ),
+    "marginal-scan --config configs/marginal_exp.json": (
+        "23e61770b4a4b846358278ec2afbd4a677f36330f48809422d6b7fc4e9d1d9fb",
+        "c87717821779c97d2890082d82c85801faf50458f357b77211e1a073b71721f3",
+    ),
+    "marginal-scan --config configs/marginal_superexp.json": (
+        "5150a96f4679330bb5227efe1b9d9c63a24070391d0cd3dd1d023012a859897f",
+        "940845e2899f4eaf364394ce65f5b857abe90d2c350ae7ce6a54640c61b28b20",
+    ),
+    "consistency-check --config configs/consistency_small_T.json": (
+        "effa1937ee5047b46d88cb967e3a158e990a79e9cdecd0e5473f60b61b37114f",
+        "428532bb4bea7da17fa123d5bc69d486d51ca5f71cb9d59f0bb9ddb8cbaf7dfd",
+    ),
+    "level-cross-scan --config configs/level_cross.json": (
+        "7a8bdaf27127724148708ab1154d6aa29e7a61840eb536ea7a5aae3673545ccb",
+        "f01b011799dedf68f2366f2f347e288674ad10a77124057fb5e68ea73e58e94d",
+    ),
+    "rate-eval --config configs/rate_eval_exp.json --profile configs/ramp_profile.json": (
+        "03b5474a84cd982776a3c141f1ab89639b50b64d8168309a1c28b6ac60ee3fda",
+        "e4870db58766e4eceb4e9eb9214fd03b2782cd8b79454b79dcb89f8677ead7f4",
+    ),
+}
+
+
+def _shipped_id(command):
+    words = command.split()
+    return Path(words[2]).stem + ("_" + words[-1] if "--process" in words else "")
+
+
+@pytest.mark.parametrize("command", SHIPPED_OUTPUTS, ids=_shipped_id)
+def test_shipped_commands_keep_their_bytes(command):
+    """One run of the command in process; its table emitted as CSV and as
+    the JSON that --format json --threads 0 writes."""
+    argv = [str(ROOT / a) if a.startswith("configs/") else a for a in command.split()]
+    args = _build_parser().parse_args(argv + ["--format", "json", "--threads", "0"])
+    _, table = _run(args)
+    digests = tuple(
+        hashlib.sha256(emit_results(table, fmt).encode()).hexdigest() for fmt in ("csv", "json")
+    )
+    assert digests == SHIPPED_OUTPUTS[command]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import bdlab.harness as harness
 from bdlab.errors import ConfigError, PreconditionError
 from bdlab.harness import (
     POISSON_CHECK_COLUMNS,
@@ -35,6 +36,7 @@ from bdlab.rates import (
     poisson_exact_log_tail,
     poisson_mean,
 )
+from bdlab.weights import Estimate
 
 UNIT_MODEL = {"kind": "canonical", "P": 1.0, "Q": 1.0, "l": 0.0}
 
@@ -500,6 +502,50 @@ def test_level_cross_scan_mc_dominance_row():
     assert mc[0] == 2.0
     assert mc[-1] == "mc_sup;dominates_tail_ok"
     assert mc[6] > 0.0  # a Monte Carlo row carries a standard error
+
+
+def test_consistency_check_fail_flags(monkeypatch):
+    monkeypatch.setattr(harness, "agreement_z", lambda e1, e2: 5.0)
+    fake = Estimate(-1.0, 0.1, 100, 50)
+    monkeypatch.setattr(harness, "importance_estimate", lambda *args: fake)
+    cfg = ExperimentConfig.from_dict(
+        config_dict(
+            scaling={"family": "exponential", "k": 1.0},
+            t_grid=[1.0],
+            samples=200,
+            event={"kind": "terminal_window", "lo": 0.0, "hi": 0.2},
+        )
+    )
+    full, direct, importance = run_consistency_check(cfg).rows
+    assert full[-1] == "event=full_space;method=importance;normalization_fail"
+    assert direct[-1] == "event=terminal_window;method=direct;ref=exact;z=5.00;agree_fail"
+    assert importance[-1] == (
+        "event=terminal_window;method=importance;ref=exact;z=5.00;agree_fail"
+    )
+    psi = normalizer(ScalingFamily.exponential(1.0), 1.0)
+    assert full[3:9] == (-1.0, -1.0 / psi, 0.0, 0.1, 50, 0.0)
+    assert importance[3:5] == (-1.0, -1.0 / psi) and importance[5] == direct[5]
+
+
+def test_level_cross_scan_fail_flag(monkeypatch):
+    monkeypatch.setattr(
+        harness, "direct_estimate", lambda *args: Estimate(-math.inf, math.inf, 1000, 0)
+    )
+    monkeypatch.setattr(harness, "poisson_exact_log_tail", lambda *args: math.log(0.5))
+    cfg = ExperimentConfig.from_dict(
+        config_dict(
+            scaling={"family": "exponential", "k": 1.0},
+            t_grid=[6.0],
+            samples=1,
+            a=0.5,
+            mc_check={"T": 2.0, "n": 1000},
+        )
+    )
+    exact, mc = run_level_cross_scan(cfg).rows
+    assert exact[-1] == "exact;anchor=terminal_tail"
+    assert exact[3] == math.log(0.5) and exact[6:9] == (0.0, 0, 0.0)
+    assert mc[-1] == "mc_sup;dominates_tail_fail"
+    assert mc[3:5] == (-math.inf, -math.inf) and mc[6:9] == (math.inf, 0, 0.0)
 
 
 def test_level_cross_scan_rejects_overflowing_phi():

@@ -11,7 +11,6 @@ from bdlab.paths import (
     PiecewiseFunction,
     _lane_l1_below,
     _lane_l1_pieces,
-    _scaled_steps,
     integral,
     jordan_decompose,
     l1_distance,
@@ -477,7 +476,7 @@ def _lane_l1_distances(start, times, signs, T, phi, center):
 
 
 def _per_lane_l1(paths, T, phi, center):
-    return [l1_distance(_scaled_steps(0, ts, ss, T, phi), center) for ts, ss in paths]
+    return [l1_distance(scale_path(Trajectory(T, ts, ss), T, phi), center) for ts, ss in paths]
 
 
 @st.composite
@@ -521,7 +520,7 @@ def test_lane_l1_hand_cases_equal_l1_distance():
         ([0.05], [1]),
     ]
     # the run and the tail really collide after t / T
-    assert len(_scaled_steps(0, *paths[1], T, 1.0).breakpoints) < len(run + tail) + 2
+    assert len(scale_path(Trajectory(T, *paths[1]), T, 1.0).breakpoints) < len(run + tail) + 2
     shared = (run[3] / T, 0.05 / T, 0.07 / T)
     centers = [
         PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)),
@@ -530,7 +529,7 @@ def test_lane_l1_hand_cases_equal_l1_distance():
         PiecewiseFunction.linear((0.0,) + shared + (1.0,), (0.0, 2.0, -1.0, 0.5, 0.25)),
         PiecewiseFunction.linear((0.0, 0.25, 1.0), (1.0, -1.0, 3.0)),
     ]
-    assert all(s in _scaled_steps(0, *paths[i], T, 1.0).breakpoints
+    assert all(s in scale_path(Trajectory(T, *paths[i]), T, 1.0).breakpoints
                for s, i in zip(shared, (1, 6, 5)))
     for center in centers:
         for phi in (1.0, 3.0):

@@ -37,7 +37,6 @@ from bdlab.weights import (
     _estimate_from_logw,
     _importance_chunk,
     _lane_log_weights,
-    _log_density,
     _run_chunks,
     _terminal_chunk,
 )
@@ -625,7 +624,7 @@ def test_estimators_refuse_a_bad_phi():
 
 
 # ---------------------------------------------------------------------------
-# the log density of a whole reference-walk block against _log_density
+# the log density of a whole reference-walk block against log_density
 
 
 # rates that are no round numbers, and mu(0) > 0, which a reference walk
@@ -637,12 +636,12 @@ BLOCK_MODELS = [UNIT, PIN_MODEL, BLOCK_TABLE]
 
 
 def _per_lane_log_weights(model, T, p, event, seed, start, stop):
-    """Each lane's log weight from _log_density of its path as lists, and
+    """Each lane's log weight from log_density of its path's Trajectory, and
     the blocks the lanes came from."""
     want, blocks = [], list(_zeta_lanes(T, seed, start, stop))
     for lanes in blocks:
         for i, hit in enumerate(event._lane_hits(lanes, T, p).tolist()):
-            want.append(_log_density(model, *lanes.path(i), T) if hit else NEG_INF)
+            want.append(log_density(model, Trajectory(T, *lanes.path(i))) if hit else NEG_INF)
     return want, blocks
 
 
@@ -687,7 +686,7 @@ def test_block_log_density_builds_rates_only_for_hit_lanes():
         hits = alive & (lanes.peak < 3)
         seen_above += int((alive & ~hits).sum())
         got = _lane_log_weights(rates, lanes, hits, T)
-        want = [_log_density(short, *lanes.path(i), T) if hit else NEG_INF
+        want = [log_density(short, Trajectory(T, *lanes.path(i))) if hit else NEG_INF
                 for i, hit in enumerate(hits.tolist())]
         assert _hex(got) == _hex(want)
     assert seen_above > 0
