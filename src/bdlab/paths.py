@@ -226,7 +226,7 @@ _L1_SLICE = 64
 
 
 def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: PiecewiseFunction):
-    """l1_distance's pieces for every lane of a lockstep block, bit for bit,
+    """l1_distance's pieces for every lane of a block of lanes, bit for bit,
     _L1_SLICE lanes at a time.
 
     Yields (pieces, ends) per slice: the slice's k-th lane has the pieces

@@ -33,19 +33,32 @@ __all__ = [
 
 # draws fetched from the generator per block; amortizes numpy call overhead
 _BLOCK = 128
-# replicas the lockstep walker advances together; bounds its block arrays.
-# A lockstep step costs about the same whatever its lane count, and a
-# block takes as many steps as its longest lane has jumps, so once a
-# block's longest lane made more than _LONG_WALK jumps the rest of its
-# chunk is walked _WIDE_LANES at a time.  Measured on a 2-vCPU VM, median
-# of 9 calls: two 2,048-replica direct estimates on the P=2, l=0.5, T=10
-# chain (about 62 jumps a lane) took 48.9 ms at 256 lanes, 41.9 ms when
-# widened after the first block and 38.9 ms at 512 throughout.  Short
-# walks stay at 256, where 512 measured slower: 4,096 replicas, median of
-# 15, zeta at T=1 12-13 -> 13.7 ms, xi at P=Q=1, T=1 12.4 -> 13.9 ms.
+# replicas the lane walker advances together; bounds its block arrays.
+# A numpy call costs about the same whatever its lane count, and a block
+# walks until its longest lane is done, so once a block's longest lane
+# made more than _LONG_WALK jumps the rest of its chunk is walked
+# _WIDE_LANES at a time.  Measured on a 2-vCPU VM with the one-jump
+# lockstep this walker replaced, median of 9 calls: two 2,048-replica
+# direct estimates on the P=2, l=0.5, T=10 chain (about 62 jumps a lane)
+# took 48.9 ms at 256 lanes, 41.9 ms when widened after the first block
+# and 38.9 ms at 512 throughout.  Short walks stay at 256, where 512
+# measured slower: 4,096 replicas, median of 15, zeta at T=1 12-13 ->
+# 13.7 ms, xi at P=Q=1, T=1 12.4 -> 13.9 ms.
 _LANES = 256
 _WIDE_LANES = 512
 _LONG_WALK = 64
+# jump columns a block walks per group: after k jumps a group is
+# max(first, k) columns wide, and never wider than _COLUMNS.  Blocks start
+# at first = _FIRST_COLUMNS and, with the width, switch to first =
+# _COLUMNS after a long walk.  A group pays some 40 numpy calls whatever
+# its width, and its rows past a lane's end are wasted, so short walks
+# start narrow.  Interleaved with the one-jump lockstep this walker
+# replaced, in one process: the importance_small_T pass (walks of 1-3
+# jumps) took 0.96-0.98 of the lockstep's time at first = 8 and 1.01-1.10
+# at first = 32; the direct_long_path pass took 0.74 with the switch and
+# 0.78 without it.
+_FIRST_COLUMNS = 8
+_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -335,13 +348,22 @@ def _pcg64_states(words: np.ndarray) -> np.ndarray:
     return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1)
 
 
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.restype = ctypes.c_void_p
+_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+
+
 def _state_key(gen: np.random.Generator) -> memoryview:
     """A writable byte view of gen's PCG64 state and increment.
 
-    bit_generator.ctypes.state_address is numpy's pcg64_state, whose
-    first field points at the 32 bytes of the 128-bit state and inc.
+    bit_generator.capsule holds numpy's bitgen_t, whose first field
+    points at the pcg64_state, whose first field in turn points at the
+    32 bytes of the 128-bit state and inc.  Read through the capsule, a
+    slot keeps no bit_generator.ctypes interface alive (about 1 KB each).
     """
-    state = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+    bitgen = _capsule_pointer(gen.bit_generator.capsule, b"BitGenerator")
+    pcg64 = ctypes.c_void_p.from_address(bitgen).value
+    state = ctypes.c_void_p.from_address(pcg64).value
     return memoryview((ctypes.c_uint64 * 4).from_address(state)).cast("B")
 
 
@@ -364,8 +386,8 @@ def _check_slots(gens: list, keys: list[memoryview], states: np.ndarray) -> None
         if [(gen.standard_exponential(), gen.random()) for gen in gens] == first[1:] + first[:1]:
             return
     raise RuntimeError(
-        f"numpy {np.__version__}: a PCG64 state read through bit_generator.ctypes."
-        "state_address is not the one SeedSequence seeds, so lane generators "
+        f"numpy {np.__version__}: a PCG64 state read through bit_generator."
+        "capsule is not the one SeedSequence seeds, so lane generators "
         "cannot be re-keyed"
     )
 
@@ -435,11 +457,11 @@ def _state_rates(model: RateModel, x: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# the lockstep walker: many replicas at once, each on its own stream
+# the lane walker: many replicas at once, each on its own stream
 
 
 class _Lanes:
-    """Per-lane results of one lockstep block, in replica order.
+    """Per-lane results of one block of lanes, in replica order.
 
     final and peak are the state at T and the largest state visited;
     jumps counts the jumps made.  below_zero marks lanes that a walk
@@ -457,17 +479,26 @@ class _Lanes:
         self.jumps = np.zeros(n, dtype=np.intp)
         self.below_zero = np.zeros(n, dtype=bool)
 
-    def store_paths(self, steps: list) -> None:
-        """Store the jumps of steps, one (lanes, times, up flags) per
-        step, lane by lane: lane i's k-th jump sits at start[i] + k."""
+    def store_paths(self, groups: list) -> None:
+        """Store the jumps of groups, lane by lane: lane i's k-th jump
+        sits at start[i] + k.  A group (lanes, k, times, ups, counts)
+        holds jumps k, k+1, ... of lanes row by row: their times, and
+        the lanes' up-jump counts before the group (ups) and after each
+        jump (counts).  A row past a lane's last jump is not one of its
+        jumps."""
         self.start = np.zeros(self.jumps.size + 1, dtype=np.intp)
         np.cumsum(self.jumps, out=self.start[1:])
         self.times = np.empty(self.start[-1])
         self.signs = np.empty(self.start[-1], dtype=np.int8)
-        for k, (lane, t, up) in enumerate(steps):
-            at = self.start[lane] + k
-            self.times[at] = t
-            self.signs[at] = up
+        for lane, k, times, before, counts in groups:
+            jump = k + _ROWS[:len(counts)]
+            made = jump < self.jumps[lane]
+            at = (self.start[lane] + jump)[made]
+            self.times[at] = times[made]
+            up = np.empty_like(counts)
+            np.subtract(counts[0], before, out=up[0])
+            np.subtract(counts[1:], counts[:-1], out=up[1:])
+            self.signs[at] = up[made]
         self.signs += self.signs
         self.signs -= 1
 
@@ -507,115 +538,200 @@ class _StateTable:
 
 
 class _ChainRates(_StateTable):
-    """rates_at of the chain for an array of lane states.
+    """rates_at of the chain: (eta, p_up) columns for states 0..top.
 
-    Per-state (eta, p_up) are the doubles _state_rates computes.  A
-    state the model cannot serve raises when a lane first reaches it.
+    Per-state (eta, p_up) are the doubles _state_rates computes.  States
+    past a table's end read eta = inf and p_up = 1/2, so a walk may step
+    a lane there speculatively; refuse(x) raises the model's error for
+    such a state, which the walk calls when a lane really enters it.
     """
 
     def __init__(self, model: RateModel) -> None:
         super().__init__(model, _state_rates)
+        self._padded: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        eta, p_up = self.upto(int(x.max()))
-        return eta[x], p_up[x]
+    def __call__(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        if top >= len(self._padded[0]):
+            table = self._model.table
+            eta, p_up = self.upto(top if table is None else min(top, len(table) - 1))
+            if len(eta) <= top:
+                past = max(top + 1, 2 * len(eta)) - len(eta)
+                eta = np.concatenate((eta, np.full(past, math.inf)))
+                p_up = np.concatenate((p_up, np.full(past, 0.5)))
+            self._padded = (eta, p_up)
+        return self._padded
+
+    def refuse(self, x: int) -> None:
+        """Raise the model's error for x, a state past the table's end."""
+        _state_rates(self._model, x)
 
 
-def _zeta_rates(x):
+def _zeta_rates(top):
     """rates_at of the reference walk: (eta, p_up) = (1, 1/2) as scalars
-    for any array of lane states."""
+    for every state."""
     return 1.0, 0.5
 
 
-def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool) -> _Lanes:
-    """Event-driven paths from state 0 on [0, T], one lane per generator
-    of gens, advanced together in numpy lockstep.
+def _running_sum(times: np.ndarray, dt: np.ndarray) -> None:
+    """Fill rows 1.. of times with running sums from row 0:
+    times[j + 1] = times[j] + dt[j].  Each lane (column) adds its holding
+    times one at a time, in the order t += dt does, so every sum carries
+    the bits of that loop.  (np.cumsum along the rows adds in the same
+    order, but measured slower at the widths the walker uses.)"""
+    for j in range(len(dt)):
+        np.add(times[j], dt[j], out=times[j + 1])
 
-    rates_at maps an array of lane states to their (eta, p_up), arrays
-    or scalars; it is called on entering each state, so it may raise for
-    a state some lane reaches.  A lane's holding time at x is
-    exponential with rate eta, t += dt / eta, and its jump is up iff a
-    uniform draw is below p_up.  A draw dt that does not move t forward
-    in floating point (a zero draw among them) is drawn again, so jump
-    times stay strictly increasing.  Lane i draws from gens[i] alone,
-    filling rows in place with out=: a row of _BLOCK exponentials at the
-    start and whenever its row runs out, and a row of _BLOCK uniforms at
-    its first jump and then every _BLOCK jumps.  A lane retires when its
-    next jump time reaches T, or, with stop_below_zero, at its first
-    negative state (after one more holding time, which draws only from
-    its own generator).
+
+# column offsets 0, 1, ..., _BLOCK - 1 as a column vector
+_ROWS = np.arange(_BLOCK)[:, None]
+
+
+def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool,
+                columns: int = _FIRST_COLUMNS) -> _Lanes:
+    """Event-driven paths from state 0 on [0, T], one lane per generator
+    of gens, advanced together a group of jump columns at a time.
+
+    rates_at(top) gives (eta, p_up) for states 0..top, as arrays indexed
+    by state or as scalars.  A lane's holding time at x is exponential
+    with rate eta, t += dt / eta, and its jump is up iff a uniform draw
+    is below p_up.  A draw dt that does not move t forward in floating
+    point (a zero draw among them) is drawn again, so jump times stay
+    strictly increasing.  Lane i draws from gens[i] alone, filling rows
+    in place with out=: a row of _BLOCK exponentials at the start and
+    whenever its row runs out, and a row of _BLOCK uniforms at its first
+    jump and then every _BLOCK jumps.  A lane retires when its next jump
+    time reaches T, or, with stop_below_zero, at its first negative
+    state (after one more holding time, which draws only from its own
+    generator).
+
+    Every running lane has made the same k jumps and drawn its holding
+    time for jump k.  A group of c = max(columns, k) columns (at most
+    _COLUMNS) steps the states one jump at a time: a lookup of p_up, a
+    compare, an add to the lane's count of up jumps.  Then it draws the
+    c holding times that follow for all columns at once, and adds them
+    to t one at a time (_running_sum), so the times carry the bits of
+    t += dt / eta.  c never crosses a row of uniforms or any running
+    lane's row of exponentials, and a lane whose holding time does not
+    move t finishes its group one draw at a time, refilling its row at
+    need, so each lane draws in the order a lane walked alone draws;
+    the group width never changes a draw.  A lane
+    may step past its end inside a group: only its jumps before its
+    first holding time that reaches T count, and a state the model
+    cannot serve (eta = inf, which never moves t) raises only where a
+    lane really enters it.  Lanes that ended leave the arrays after
+    their group.
     """
     n = len(gens)
     exps = np.empty((n, _BLOCK))
     unis = np.empty((n, _BLOCK))
     for gen, row in zip(gens, exps):
         gen.standard_exponential(out=row)
-    flat_exps, flat_unis = exps.reshape(-1), unis.reshape(-1)
+    flat_exps = exps.reshape(-1)
     out = _Lanes(n)
-    steps = []
+    groups = []
     lane = np.arange(n)
     base = lane * _BLOCK  # flat index of each running lane's rows
     epos = base.copy()  # flat index of its next exponential
-    drawn = 0  # at least as many as any running lane has used of its row
+    most = 0  # at least as many as any running lane has used of its row
     t = np.zeros(n)
-    x = np.zeros(n, dtype=np.int64)
-    peak = np.zeros(n, dtype=np.int64)
-    eta, p_up = rates_at(x)
     k = 0  # jumps made by every running lane
+    ups = np.zeros(n, dtype=np.int64)  # up jumps of each lane: its state is 2*ups - k
+    peak = np.zeros(n, dtype=np.int64)
+    eta, p_up = rates_at(0)
+    doubled = doubled_of = None
+    # the states of a group's holding times, row by row; the first group
+    # is the first holding time, at state 0
+    states = np.zeros((1, n), dtype=np.int64)
     while True:
-        if drawn == _BLOCK:
-            for j in np.flatnonzero(epos == base + _BLOCK).tolist():
-                gens[lane[j]].standard_exponential(out=exps[lane[j]])
-                epos[j] = base[j]
-            drawn = int((epos - base).max())
-        t_next = t + flat_exps[epos] / eta
-        epos += 1
-        drawn += 1
-        moved = t_next > t
-        if np.count_nonzero(moved) < moved.size:
-            rate = np.broadcast_to(eta, t.shape)
-            for j in np.flatnonzero(~moved).tolist():
-                while not t_next[j] > t[j]:
-                    if epos[j] == base[j] + _BLOCK:
-                        gens[lane[j]].standard_exponential(out=exps[lane[j]])
-                        epos[j] = base[j]
-                    t_next[j] = t[j] + flat_exps[epos[j]] / rate[j]
-                    epos[j] += 1
-            drawn = int((epos - base).max())
-        t = t_next
-        ended = t >= T
-        if stop_below_zero:
-            ended |= x < 0
-        n_ended = np.count_nonzero(ended)
-        if n_ended:
-            done = lane[ended]
-            out.jumps[done] = k
-            out.final[done] = x[ended]
-            out.peak[done] = peak[ended]
-            if stop_below_zero:
-                out.below_zero[done] = x[ended] < 0
-            if n_ended == lane.size:
+        c = len(states)
+        dt = flat_exps[epos + _ROWS[:c]]
+        dt /= eta if isinstance(eta, float) else eta[states]
+        times = np.empty((c + 1, t.size))
+        times[0] = t
+        _running_sum(times, dt)
+        epos += c
+        most += c
+        stalled = times[1:] <= times[:-1]
+        if stalled.any():
+            for j in stalled.any(axis=0).nonzero()[0].tolist():
+                r = int(stalled[:, j].argmax())
+                gone = times[1:r + 1, j] >= T
+                if stop_below_zero:
+                    gone |= states[:r, j] < 0
+                if gone.any():
+                    continue  # retired before its stall
+                pos, end, now = int(epos[j]) - c + r, base[j] + _BLOCK, times[r, j]
+                for r in range(r, c):
+                    x = int(states[r, j])
+                    at = eta if isinstance(eta, float) else eta[x]
+                    if at == math.inf:
+                        rates_at.refuse(x)
+                    nxt = now
+                    while not nxt > now:
+                        if pos == end:
+                            gens[lane[j]].standard_exponential(out=exps[lane[j]])
+                            pos = base[j]
+                        nxt = now + flat_exps[pos] / at
+                        pos += 1
+                    times[r + 1, j] = now = nxt
+                    if nxt >= T or stop_below_zero and x < 0:
+                        break
+                epos[j] = pos
+                most = max(most, int(pos - base[j]))
+        ended = times[1:] >= T
+        if k and stop_below_zero:
+            ended |= states < 0
+        hit = ended.any(axis=0)
+        i = hit.nonzero()[0]
+        if k:  # a lane that ends at its first holding time keeps _Lanes' zeros
+            if keep_paths:
+                groups.append((lane, k - c, times[:-1], before, counts))
+            if i.size:
+                row = ended[:, i].argmax(axis=0)
+                done = lane[i]
+                # row 0 holds the holding time after jump k - c
+                out.jumps[done] = row + (k - c + 1)
+                seen, each = states[:, i], np.arange(i.size)
+                out.final[done] = seen[row, each]
+                np.maximum.accumulate(seen, axis=0, out=seen)
+                out.peak[done] = np.maximum(peak[i], seen[row, each])
+                if stop_below_zero:
+                    out.below_zero[done] = out.final[done] < 0
+            np.maximum(peak, states.max(axis=0), out=peak)
+        t = times[c]
+        if i.size:
+            if i.size == t.size:
                 if keep_paths:
-                    out.store_paths(steps)
+                    out.store_paths(groups)
                 return out
-            running = ~ended
-            lane, base, t, x, peak, epos = (
-                lane[running], base[running], t[running], x[running], peak[running], epos[running]
+            keep = (~hit).nonzero()[0]
+            lane, base, epos, t, ups, peak = (
+                lane[keep], base[keep], epos[keep], t[keep], ups[keep], peak[keep]
             )
-            eta, p_up = rates_at(x)
+        # the next group: jumps k..k+c-1 and the holding times after them
         col = k % _BLOCK
         if col == 0:
             for i in lane.tolist():
                 gens[i].random(out=unis[i])
-        up = flat_unis[base + col] < p_up
-        x += up
-        x += up
-        x -= 1
-        np.maximum(peak, x, out=peak)
-        if keep_paths:
-            steps.append((lane, t, up))
-        k += 1
-        eta, p_up = rates_at(x)
+        if most == _BLOCK:
+            for j in np.flatnonzero(epos == base + _BLOCK).tolist():
+                gens[lane[j]].standard_exponential(out=exps[lane[j]])
+                epos[j] = base[j]
+            most = int((epos - base).max())
+        c = min(_COLUMNS, max(columns, k), _BLOCK - col, _BLOCK - most)
+        eta, p_up = rates_at(k + c)
+        u = np.ascontiguousarray(unis[lane, col:col + c].T)
+        counts, before = np.empty((c, t.size), dtype=np.int64), ups
+        if not isinstance(p_up, float) and doubled_of is not p_up:
+            # doubled[len(p_up) - kk::2][ups] is p_up at state 2*ups - kk
+            # after kk jumps (a chain's state is never negative)
+            doubled, doubled_of = np.concatenate((p_up, p_up)), p_up
+        for j in range(c):
+            p = p_up if doubled is None else doubled[len(p_up) - k - j::2][ups]
+            ups = np.add(ups, u[j] < p, out=counts[j])
+        states = counts * 2
+        states -= k + 1 + _ROWS[:c]
+        k += c
 
 
 def _lane_blocks(words: Iterator[np.ndarray], T: float, rates_at, keep_paths: bool,
@@ -624,21 +740,23 @@ def _lane_blocks(words: Iterator[np.ndarray], T: float, rates_at, keep_paths: bo
     thread's slot generator i re-keyed to its replica's PCG64 state.
 
     words yields the replicas' seed words as _replica_words does.  Blocks
-    are _LANES wide, and _WIDE_LANES wide after the first block whose
-    longest lane made more than _LONG_WALK jumps.  The width only decides
-    which lanes share a numpy call: every lane draws from its own state
-    in _walk_lanes' order, so no draw depends on it.
+    are _LANES wide and start with groups of _FIRST_COLUMNS jump columns;
+    after the first block whose longest lane made more than _LONG_WALK
+    jumps they are _WIDE_LANES wide and walk _COLUMNS columns a group.
+    Width and group only decide which lanes and jumps share a numpy
+    call: every lane draws from its own state in _walk_lanes' order, so
+    no draw depends on them.
     """
-    width, states = _LANES, np.empty((0, 4), dtype=np.uint64)
+    width, columns, states = _LANES, _FIRST_COLUMNS, np.empty((0, 4), dtype=np.uint64)
     while True:
         while len(states) < width and (more := next(words, None)) is not None:
             states = np.concatenate((states, _pcg64_states(more)))
         if not len(states):
             return
         block, states = states[:width], states[width:]
-        lanes = _walk_lanes(_slots.keyed(block), T, rates_at, keep_paths, stop_below_zero)
+        lanes = _walk_lanes(_slots.keyed(block), T, rates_at, keep_paths, stop_below_zero, columns)
         if lanes.jumps.max() > _LONG_WALK:
-            width = _WIDE_LANES
+            width, columns = _WIDE_LANES, _COLUMNS
         yield lanes
 
 

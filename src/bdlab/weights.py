@@ -159,7 +159,7 @@ class EventSpec:
         return l1_distance(scaled, self.center) < self.eps
 
     def _lane_hits(self, lanes: _Lanes, T: float, phi_of_T: float) -> np.ndarray:
-        """occurs for each lane of a lockstep block that stayed nonnegative;
+        """occurs for each lane of a block of lanes that stayed nonnegative;
         False for the others."""
         alive = ~lanes.below_zero
         if self.kind == "full_space":

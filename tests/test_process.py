@@ -15,9 +15,12 @@ from bdlab.harness import ExperimentConfig, derive_seed, emit_results, run_simul
 from bdlab.paths import PiecewiseFunction
 from bdlab.process import (
     _BLOCK,
+    _COLUMNS,
+    _FIRST_COLUMNS,
     _ChainRates,
     _lane_blocks,
     _replica_words,
+    _running_sum,
     _xi_lanes,
     _zeta_lanes,
     _state_rates,
@@ -43,6 +46,9 @@ from bdlab.weights import (
 from reference_walk import reference_xi, reference_zeta
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
+# jump columns a group of the lane walk starts at: one (groups of 1, 1,
+# 2, 4, ... columns), a short walk's start and the long-walk width
+GROUP_WIDTHS = (1, _FIRST_COLUMNS, _COLUMNS)
 
 
 def test_total_rate_canonical_at_zero():
@@ -525,16 +531,18 @@ def _lane_paths(blocks):
 
 def _assert_draw_calls_match(n, T, model, seed):
     """Lanes 0..n-1 make the draw calls, in kind, size and order, that the
-    reference loop makes for each replica alone."""
-    logs, want = [[] for _ in range(n)], [[] for _ in range(n)]
-    rates = _zeta_rates if model is None else _ChainRates(model)
-    _walk_lanes([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)],
-                T, rates, True, False)
+    reference loop makes for each replica alone, at every group width."""
+    want = [[] for _ in range(n)]
     for r in range(n):
         gen = _Recording(RngStream(seed, r).generator(), want[r])
         reference_zeta(T, gen) if model is None else reference_xi(model, T, gen)
-    assert logs == want
-    assert any(("uni", _BLOCK) in log for log in logs)
+    assert any(("uni", _BLOCK) in log for log in want)
+    for columns in GROUP_WIDTHS:
+        logs = [[] for _ in range(n)]
+        rates = _zeta_rates if model is None else _ChainRates(model)
+        _walk_lanes([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)],
+                    T, rates, True, False, columns)
+        assert logs == want, columns
 
 
 KERNEL_TABLE = RateModel(
@@ -693,11 +701,12 @@ def test_v1_stream_pin_simulate():
 # the lockstep walker against the reference loops on the same streams
 
 
-def _assert_lanes_match_reference(make_gen, n, T, model=None, stop_below_zero=False):
+def _assert_lanes_match_reference(make_gen, n, T, model=None, stop_below_zero=False,
+                                  columns=_FIRST_COLUMNS):
     """Walk n lanes together, and each lane alone through the reference
     loop, on equal generators."""
     rates = _zeta_rates if model is None else _ChainRates(model)
-    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, rates, True, stop_below_zero)
+    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, rates, True, stop_below_zero, columns)
     jumps = 0
     for i in range(n):
         gen = make_gen(i)
@@ -751,13 +760,13 @@ def test_lanes_equal_kernel_at_thousands_of_states():
     for model, top, rebuilds_wanted in ((fast, 2000, 12), (KERNEL_TABLE, 79, 8)):
         rates, rebuilds, last = _ChainRates(model), 0, None
         for x in range(top + 1):
-            rates(np.array([x]))
+            rates(x)
             eta = rates.upto(x)[0]
             rebuilds += eta is not last
             last = eta
         assert rebuilds == rebuilds_wanted
-        eta, p_up = rates(np.arange(top + 1))
-        assert list(zip(eta.tolist(), p_up.tolist())) == [
+        eta, p_up = rates(top)
+        assert list(zip(eta[:top + 1].tolist(), p_up[:top + 1].tolist())) == [
             _state_rates(model, x) for x in range(top + 1)
         ]
 
@@ -794,23 +803,104 @@ FIXED_DRAWS = [
 
 @pytest.mark.parametrize("T", [2.0, 5e20])
 def test_lanes_redraw_like_the_kernel(T):
-    # lanes that stall and lanes that never do share one lockstep walk
+    # lanes that stall and lanes that never do share one walk, at every
+    # group width
     draws = FIXED_DRAWS * 3
     make = lambda i: _FixedGen(*draws[i])  # noqa: E731
-    for model in (UNIT, KERNEL_TABLE, None):
-        _assert_lanes_match_reference(make, len(draws), T, model)
-    lanes = _walk_lanes([make(i) for i in range(len(draws))], T, _zeta_rates, True, False)
-    assert lanes.jumps[1] == (4 if T > 1e20 else 0)
+    for columns in GROUP_WIDTHS:
+        for model in (UNIT, KERNEL_TABLE, None):
+            _assert_lanes_match_reference(make, len(draws), T, model, columns=columns)
+        lanes = _walk_lanes([make(i) for i in range(len(draws))], T, _zeta_rates, True, False,
+                            columns)
+        assert lanes.jumps[1] == (4 if T > 1e20 else 0)
 
 
 def test_lanes_that_redrew_refill_their_own_rows():
     # every row of the first pattern starts with three stalls, so its lane
     # runs ahead of the lanes that never stall and needs each new row
-    # three steps before them
+    # three jumps before them, inside a group of columns
     draws = [([0.0, 0.0, 0.0] + [0.01] * 125, [0.6]), ([0.01], [0.6])] * 3
     make = lambda i: _FixedGen(*draws[i])  # noqa: E731
-    for model in (UNIT, KERNEL_TABLE, None):
-        assert _assert_lanes_match_reference(make, len(draws), 3.0, model) > len(draws) * 2 * _BLOCK
+    for columns in GROUP_WIDTHS:
+        for model in (UNIT, KERNEL_TABLE, None):
+            jumps = _assert_lanes_match_reference(make, len(draws), 3.0, model, columns=columns)
+            assert jumps > len(draws) * 2 * _BLOCK
+
+
+def _sequential_clock(t, dt):
+    """t after each holding time of dt, added one at a time as Python floats."""
+    out = []
+    for step in dt:
+        t += step
+        out.append(t)
+    return out
+
+
+def test_group_time_pass_adds_like_t_plus_dt():
+    # rows of mixed magnitude: clocks and holding times from 1e-30 to 1e30,
+    # so many sums round and many do not move t at all
+    rng = np.random.default_rng(20261019)
+    lanes, columns = 512, 32
+    t0 = 10.0 ** rng.uniform(-30, 30, lanes) * rng.uniform(0.5, 1.5, lanes)
+    e = rng.standard_exponential((columns, lanes)) * 10.0 ** rng.uniform(-30, 30, (columns, lanes))
+    eta = 10.0 ** rng.uniform(-3, 3, (columns, lanes))
+    dt = e / eta
+    times = np.empty((columns + 1, lanes))
+    times[0] = t0
+    _running_sum(times, dt)
+    stalls = 0
+    for j in range(lanes):
+        want = _sequential_clock(float(t0[j]), [float(a) / float(b) for a, b in zip(e[:, j], eta[:, j])])
+        assert [v.hex() for v in times[1:, j].tolist()] == [v.hex() for v in want]
+        stalls += sum(b <= a for a, b in zip([float(t0[j])] + want, want))
+    assert 1000 < stalls < columns * lanes - 1000
+    # the stall patterns of FIXED_DRAWS, padded to a row as _FixedGen pads
+    # them, from t = 0 and from a clock where a draw of 1.0 does not move
+    for exps, _ in FIXED_DRAWS:
+        row = np.array((exps + exps[-1:] * _BLOCK)[:_BLOCK])
+        for start, rate in ((0.0, 1.0), (1e20, 3.0), (0.25, 0.7)):
+            times = np.empty((_BLOCK + 1, 1))
+            times[0] = start
+            _running_sum(times, (row / rate)[:, None])
+            want = _sequential_clock(start, [v / rate for v in row.tolist()])
+            assert [v.hex() for v in times[1:, 0].tolist()] == [v.hex() for v in want]
+
+
+def test_lanes_ending_inside_a_table_step_past_its_edge_without_raising():
+    # at T = 0.4 most chains on a 4-state table end before they reach
+    # state 4, but a group of columns steps every lane on past T, toward
+    # and past the table's edge, before it knows where each lane ended
+    short = RateModel(kind="table", table=((6.0, 0.0), (6.0, 1.0), (6.0, 1.0), (6.0, 1.5)))
+    T, kept, messages = 0.4, [], set()
+    for r in range(400):
+        try:
+            reference_xi(short, T, RngStream(73, r).generator())
+            kept.append(r)
+        except PreconditionError as exc:
+            messages.add(str(exc))
+    assert 200 < len(kept) < 390
+    assert messages == {"state 4 outside rate table (size 4)"}
+
+    class Asked(_ChainRates):
+        # the highest state any group asked the rates for
+        top = 0
+
+        def __call__(self, top):
+            Asked.top = max(Asked.top, top)
+            return super().__call__(top)
+
+    for columns in GROUP_WIDTHS:
+        Asked.top = 0
+        make = lambda i: RngStream(73, kept[i]).generator()  # noqa: E731
+        rates = Asked(short)
+        lanes = _walk_lanes([make(i) for i in range(len(kept))], T, rates, True, False, columns)
+        for i in range(len(kept)):
+            assert _lane_jumps(lanes, i) == reference_xi(short, T, make(i))
+        assert lanes.peak.max() == 3 and Asked.top >= 8
+        with pytest.raises(PreconditionError) as exc:
+            _walk_lanes([RngStream(73, r).generator() for r in range(400)], T, _ChainRates(short),
+                        False, False, columns)
+        assert str(exc.value) == "state 4 outside rate table (size 4)"
 
 
 def test_draws_into_rows_equal_sized_draws():
@@ -833,14 +923,16 @@ def test_draws_into_rows_equal_sized_draws():
 
 
 LONG = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
-# (first width, width after a long walk, jumps that make a walk long):
-# the shipped values, a switch after the first block, and the widths 1
-# and 3 in either order
-WIDTHS = [(256, 512, 64), (256, 512, 0), (1, 3, 0), (3, 1, 0)]
+# (first width, width after a long walk, jumps that make a walk long,
+# first group of jump columns, widest group): the shipped values, a
+# switch after the first block, and the widths 1 and 3 in either order
+# with groups from 1 to 2 columns and from 32 to 5
+WIDTHS = [(256, 512, 64, 8, 32), (256, 512, 0, 8, 32), (1, 3, 0, 1, 2), (3, 1, 0, 32, 5)]
 
 
 def _set_widths(monkeypatch, widths):
-    for name, value in zip(("_LANES", "_WIDE_LANES", "_LONG_WALK"), widths):
+    names = ("_LANES", "_WIDE_LANES", "_LONG_WALK", "_FIRST_COLUMNS", "_COLUMNS")
+    for name, value in zip(names, widths):
         monkeypatch.setattr(process, name, value)
 
 
