@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .process import Trajectory, _unvalidated
+from .process import Trajectory, _Lanes, _unvalidated
 
 __all__ = [
     "PiecewiseFunction",
@@ -225,7 +225,7 @@ def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
 _L1_SLICE = 64
 
 
-def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: PiecewiseFunction):
+def _lane_l1_pieces(lanes: _Lanes, T: float, phi_of_T: float, center: PiecewiseFunction):
     """l1_distance's pieces for every lane of a block of lanes, bit for bit,
     _L1_SLICE lanes at a time.
 
@@ -234,33 +234,36 @@ def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: Piec
     math.fsum of them is l1_distance(scale_path(path_i, T, phi_of_T),
     center), path_i the Trajectory of lane i's jumps on [0, T].
 
-    Lane i's jumps are times[start[i]:start[i+1]] and the signs there;
-    every lane starts at 0.  Raw scaled times never decrease, so a jump
-    opens a breakpoint exactly where it exceeds the previous jump's
-    scaled time (0.0 before a lane's first) and stays below 1.0, as in
-    scale_path; a segment keeps the state before the next opened
-    breakpoint.  Each segment is split at the center's breakpoints that
-    lie strictly inside it, and each piece is l1_distance's piece, with
-    its expressions in its order: a linear center's value at u is the
-    same expression l1_distance reuses from the previous piece.
+    The block's paths are kept: lane i starts at 0, and its jumps' times
+    and the states they lead to sit at start[i]:start[i+1].  Raw scaled
+    times never decrease, so a jump opens a breakpoint exactly where it
+    exceeds the previous jump's scaled time (0.0 before a lane's first)
+    and stays below 1.0, as in scale_path.  A segment keeps the state
+    before the next opened breakpoint (the previous jump's state, 0
+    before a lane's first), and a lane's last segment its final state.
+    Each segment is split at the center's breakpoints that lie strictly
+    inside it, and each piece is l1_distance's piece, with its
+    expressions in its order: a linear center's value at u is the same
+    expression l1_distance reuses from the previous piece.
     """
     cb = np.array(center.breakpoints)
     cv = np.array(center.values)
     linear = center.mode == "linear"
-    for l0 in range(0, len(start) - 1, _L1_SLICE):
-        first = start[l0:l0 + _L1_SLICE + 1]
+    for l0 in range(0, lanes.final.size, _L1_SLICE):
+        first = lanes.start[l0:l0 + _L1_SLICE + 1]
         counts = np.diff(first)
-        rel = first - first[0]
-        b = times[first[0]:first[-1]] / T
+        b = lanes.times[first[0]:first[-1]] / T
+        after = lanes.states[first[0]:first[-1]]
         lane = np.repeat(np.arange(counts.size), counts)
+        # each jump's previous scaled time and state in its lane
+        lead = (first[:-1] - first[0])[counts > 0]
         prev = np.empty_like(b)
         prev[1:] = b[:-1]
-        prev[rel[:-1][counts > 0]] = 0.0
+        prev[lead] = 0.0
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[lead] = 0
         opened = np.flatnonzero((b > prev) & (b < 1.0))
-        # state before each jump and at the end, from the running sum
-        cs = np.zeros(b.size + 1, dtype=np.int64)
-        np.cumsum(signs[first[0]:first[-1]], out=cs[1:])
-        base = cs[rel[:-1]]
         # lane i's segments sit at seg[i]..seg[i+1]-1, opened ones after its first
         seg = np.zeros(counts.size + 1, dtype=np.intp)
         np.cumsum(np.bincount(lane[opened], minlength=counts.size) + 1, out=seg[1:])
@@ -269,8 +272,8 @@ def _lane_l1_pieces(start, times, signs, T: float, phi_of_T: float, center: Piec
         u1 = np.ones(seg[-1])
         u0[at] = u1[at - 1] = b[opened]
         x = np.empty(seg[-1], dtype=np.int64)
-        x[at - 1] = cs[opened] - base[lane[opened]]
-        x[seg[1:] - 1] = cs[rel[1:]] - base
+        x[at - 1] = before[opened]
+        x[seg[1:] - 1] = lanes.final[l0:l0 + _L1_SLICE]
         level = x / phi_of_T
         # split at center breakpoints strictly inside each segment
         lo = np.searchsorted(cb, u0, "right")
@@ -307,8 +310,8 @@ _U = 2.0**-53
 _TINY = 2.0**-1022
 
 
-def _lane_l1_below(start, times, signs, T: float, phi_of_T: float,
-                   center: PiecewiseFunction, eps: float) -> np.ndarray:
+def _lane_l1_below(lanes: _Lanes, T: float, phi_of_T: float, center: PiecewiseFunction,
+                   eps: float) -> np.ndarray:
     """[d < eps for d in the lanes' L1 distances] as a bool array, with
     math.fsum only for the lanes whose numpy sum cannot decide.  A lane's
     distance is math.fsum of its _lane_l1_pieces, which is exact, so it
@@ -336,7 +339,7 @@ def _lane_l1_below(start, times, signs, T: float, phi_of_T: float,
     The other lanes (inside the band, or S not finite) take math.fsum.
     """
     out = []
-    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi_of_T, center):
+    for pieces, ends in _lane_l1_pieces(lanes, T, phi_of_T, center):
         s = np.add.reduceat(pieces, ends[:-1])
         tol = (np.diff(ends) + 1) * (2 * _U) * s
         np.maximum(tol, _TINY, out=tol)

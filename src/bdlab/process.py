@@ -405,6 +405,15 @@ class _Slots(threading.local):
     def __init__(self) -> None:
         self.gens: list[np.random.Generator] = []
         self.keys: list[memoryview] = []
+        self.exps = self.unis = np.empty((0, _BLOCK))
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's (n, _BLOCK) rows of exponentials and uniforms, which
+        a walk fills before it reads them.  Reused: allocated per block, in
+        pooled workers they went back to the system and faulted in again."""
+        if n > len(self.exps):
+            self.exps, self.unis = np.empty((n, _BLOCK)), np.empty((n, _BLOCK))
+        return self.exps[:n], self.unis[:n]
 
     def keyed(self, states: np.ndarray) -> list[np.random.Generator]:
         """The first len(states) slot generators, each re-keyed to its
@@ -466,12 +475,13 @@ class _Lanes:
     final and peak are the state at T and the largest state visited;
     jumps counts the jumps made.  below_zero marks lanes that a walk
     retiring negative lanes stopped at their first negative state (their
-    final and peak are then not meaningful).  When paths are kept, lane
-    i's jumps are times[start[i]:start[i+1]] and the signs there; path(i)
-    gives them as lists.
+    final and peak then describe the path up to that state only).  When
+    paths are kept, lane i's jumps are times[start[i]:start[i+1]], and
+    states there holds the state each jump leads to; path(i) gives them
+    as lists of times and signs.
     """
 
-    __slots__ = ("final", "peak", "jumps", "below_zero", "start", "times", "signs")
+    __slots__ = ("final", "peak", "jumps", "below_zero", "start", "times", "states")
 
     def __init__(self, n: int) -> None:
         self.final = np.zeros(n, dtype=np.int64)
@@ -481,31 +491,25 @@ class _Lanes:
 
     def store_paths(self, groups: list) -> None:
         """Store the jumps of groups, lane by lane: lane i's k-th jump
-        sits at start[i] + k.  A group (lanes, k, times, ups, counts)
-        holds jumps k, k+1, ... of lanes row by row: their times, and
-        the lanes' up-jump counts before the group (ups) and after each
-        jump (counts).  A row past a lane's last jump is not one of its
+        sits at start[i] + k.  A group (lanes, k, times, states) holds
+        jumps k, k+1, ... of lanes row by row: their times and the state
+        after each.  A row past a lane's last jump is not one of its
         jumps."""
         self.start = np.zeros(self.jumps.size + 1, dtype=np.intp)
         np.cumsum(self.jumps, out=self.start[1:])
         self.times = np.empty(self.start[-1])
-        self.signs = np.empty(self.start[-1], dtype=np.int8)
-        for lane, k, times, before, counts in groups:
-            jump = k + _ROWS[:len(counts)]
+        self.states = np.empty(self.start[-1], dtype=np.int64)
+        for lane, k, times, states in groups:
+            jump = k + _ROWS[:len(states)]
             made = jump < self.jumps[lane]
             at = (self.start[lane] + jump)[made]
             self.times[at] = times[made]
-            up = np.empty_like(counts)
-            np.subtract(counts[0], before, out=up[0])
-            np.subtract(counts[1:], counts[:-1], out=up[1:])
-            self.signs[at] = up[made]
-        self.signs += self.signs
-        self.signs -= 1
+            self.states[at] = states[made]
 
     def path(self, i: int) -> tuple[list[float], list[int]]:
         """Lane i's jump times and signs as Python lists."""
         lo, hi = self.start[i], self.start[i + 1]
-        return self.times[lo:hi].tolist(), self.signs[lo:hi].tolist()
+        return self.times[lo:hi].tolist(), np.diff(self.states[lo:hi], prepend=0).tolist()
 
 
 class _StateTable:
@@ -622,8 +626,7 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
     their group.
     """
     n = len(gens)
-    exps = np.empty((n, _BLOCK))
-    unis = np.empty((n, _BLOCK))
+    exps, unis = _slots.rows(n)
     for gen, row in zip(gens, exps):
         gen.standard_exponential(out=row)
     flat_exps = exps.reshape(-1)
@@ -685,13 +688,13 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         i = hit.nonzero()[0]
         if k:  # a lane that ends at its first holding time keeps _Lanes' zeros
             if keep_paths:
-                groups.append((lane, k - c, times[:-1], before, counts))
+                groups.append((lane, k - c, times[:-1], states))
             if i.size:
                 row = ended[:, i].argmax(axis=0)
                 done = lane[i]
                 # row 0 holds the holding time after jump k - c
                 out.jumps[done] = row + (k - c + 1)
-                seen, each = states[:, i], np.arange(i.size)
+                seen, each = states[:, i], np.arange(i.size)  # a copy: states is kept
                 out.final[done] = seen[row, each]
                 np.maximum.accumulate(seen, axis=0, out=seen)
                 out.peak[done] = np.maximum(peak[i], seen[row, each])
@@ -721,7 +724,7 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         c = min(_COLUMNS, max(columns, k), _BLOCK - col, _BLOCK - most)
         eta, p_up = rates_at(k + c)
         u = np.ascontiguousarray(unis[lane, col:col + c].T)
-        counts, before = np.empty((c, t.size), dtype=np.int64), ups
+        counts = np.empty((c, t.size), dtype=np.int64)
         if not isinstance(p_up, float) and doubled_of is not p_up:
             # doubled[len(p_up) - kk::2][ups] is p_up at state 2*ups - kk
             # after kk jumps (a chain's state is never negative)

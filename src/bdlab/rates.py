@@ -24,6 +24,7 @@ from .paths import (
     jordan_decompose,
     left_limit_at_one,
 )
+from .process import _check_horizon
 
 __all__ = [
     "ScalingFamily",
@@ -97,14 +98,9 @@ class ScalingFamily:
         return {"poly": "SUB", "exponential": "EXP", "superexp": "SUPER"}[self.family]
 
 
-def _check_T(T: float) -> None:
-    if not (T > 0 and math.isfinite(T)):
-        raise PreconditionError(f"T must be positive, got {T}")
-
-
 def log_phi(family: ScalingFamily, T: float) -> float:
     """ln(phi(T)), computed without forming phi (safe for huge scalings)."""
-    _check_T(T)
+    _check_horizon(T)
     if family.family == "poly":
         return family.alpha * math.log(T)
     if family.family == "exponential":
@@ -114,7 +110,7 @@ def log_phi(family: ScalingFamily, T: float) -> float:
 
 def phi(family: ScalingFamily, T: float) -> float:
     """The scaling function phi(T); inf when it exceeds float range."""
-    _check_T(T)
+    _check_horizon(T)
     if family.family == "poly":
         return T**family.alpha
     try:
@@ -214,7 +210,7 @@ def _check_exact_law_params(P: float, Q: float, T: float) -> None:
         raise PreconditionError(f"P must be positive, got {P}")
     if not Q > 0:
         raise PreconditionError(f"Q must be positive, got {Q}")
-    _check_T(T)
+    _check_horizon(T)
 
 
 def poisson_mean(P: float, Q: float, T: float) -> float:
@@ -434,7 +430,7 @@ def tilted_poisson_argmax(C: float, T: float, family: ScalingFamily) -> int:
     """
     if not C > 0:
         raise PreconditionError(f"C must be positive, got {C}")
-    _check_T(T)
+    _check_horizon(T)
     if not T > 2 * C:
         raise PreconditionError(f"needs T > 2C, got T = {T}, C = {C}")
     p = phi(family, T)

@@ -165,10 +165,7 @@ class EventSpec:
         if self.kind == "full_space":
             return alive
         if self.kind == "neighborhood":
-            below = _lane_l1_below(
-                lanes.start, lanes.times, lanes.signs, T, phi_of_T, self.center, self.eps
-            )
-            return alive & below
+            return alive & _lane_l1_below(lanes, T, phi_of_T, self.center, self.eps)
         return alive & self._state_test(lanes.final, lanes.peak, phi_of_T)
 
 
@@ -249,9 +246,9 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
     every other lane of a reference-walk block.
 
     Each hit lane gets its jumps as entries, then one closing entry at T.
-    The state of an entry is the running sum of signs before it; the
-    closing entry steps back by the lane's final state, so the sum
-    restarts at 0 for the next lane.  An entry's A term is eta(x) times
+    The state of an entry is the one its lane's previous jump led to
+    (lanes.states), and 0 at the lane's first entry; a jump is up when
+    the next entry's state is higher.  An entry's A term is eta(x) times
     the time since the lane's previous entry (or since 0.0), and a jump's
     B term is ln lambda(x) or ln mu(x), all from rates (a _StateTable of
     _density_row).  These are the doubles functional_A and functional_B
@@ -271,17 +268,15 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
     hit_jump = np.repeat(hits, lanes.jumps)
     t = np.full(is_jump.size, T)
     t[is_jump] = lanes.times[hit_jump]
-    step = np.zeros(is_jump.size, dtype=np.int64)
-    step[is_jump] = lanes.signs[hit_jump]
-    step[close] = -lanes.final[hits]
-    x = np.cumsum(step)
-    x -= step
+    x = np.zeros(is_jump.size, dtype=np.int64)
+    x[1:][is_jump[:-1]] = lanes.states[hit_jump]
     t_prev = np.empty_like(t)
     t_prev[1:] = t[:-1]
     t_prev[first] = 0.0
     eta, ln_up, ln_down = rates.upto(int(lanes.peak[hits].max()))
     a = (eta[x] * (t - t_prev)).tolist()
-    b = np.where(step > 0, ln_up[x], ln_down[x]).tolist()
+    x, up = x[:-1], x[1:] > x[:-1]  # a closing entry has no B term
+    b = np.where(up, ln_up[x], ln_down[x]).tolist()
     fsum, ln2 = math.fsum, math.log(2.0)
     out[hits] = [
         T - fsum(a[lo:hi + 1]) + fsum(b[lo:hi]) + n * ln2

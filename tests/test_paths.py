@@ -1,14 +1,16 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bdlab.errors import PreconditionError
 from bdlab.paths import (
     JordanPair,
     PiecewiseFunction,
+    _L1_SLICE,
     _lane_l1_below,
     _lane_l1_pieces,
     integral,
@@ -49,9 +51,17 @@ def piecewise(draw):
 
 
 def _agree_on_merged_grid(f, g):
+    """True iff on each merged-grid segment [u, v] f and g agree at u and in
+    their left limits at v, the two values l1_distance compares there: the
+    left limit of a step function is its value at u, of a linear one its
+    value at v.  (A midpoint value is no oracle: it may round off a
+    constant that l1_distance sees exactly.)"""
     pts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    mids = [(u + v) / 2.0 for u, v in zip(pts, pts[1:])]
-    return all(f.value(t) == g.value(t) for t in list(pts) + mids)
+
+    def ends(h, u, v):
+        return h.value(u), h.value(u if h.mode == "step" else v)
+
+    return all(ends(f, u, v) == ends(g, u, v) for u, v in zip(pts, pts[1:]))
 
 
 def test_piecewise_validation():
@@ -219,6 +229,8 @@ def test_metric_triangle_inequality(f, g, h):
 
 @settings(max_examples=1000, deadline=None)
 @given(piecewise(), piecewise())
+@example(PiecewiseFunction.step((0.0, 0.03125, 1.0), (1.5, 1.5)),
+         PiecewiseFunction.linear((0.0, 0.265625, 1.0), (1.5, 1.5, 1.5)))
 def test_metric_zero_iff_agree_on_merged_grid(f, g):
     d = l1_distance(f, g)
     if _agree_on_merged_grid(f, g):
@@ -456,19 +468,22 @@ def test_scale_path_of_simulated_paths_equals_its_validated_rebuild():
 
 
 def _block(paths):
-    """start, times and signs of a lane block holding these (times, signs)."""
-    start = np.zeros(len(paths) + 1, dtype=np.intp)
-    np.cumsum([len(ts) for ts, _ in paths], out=start[1:])
-    times = np.array([t for ts, _ in paths for t in ts], dtype=float)
-    signs = np.array([s for _, ss in paths for s in ss], dtype=np.int8)
-    return start, times, signs
+    """A lane block whose kept paths are these (times, signs)."""
+    lanes = _Lanes(len(paths))
+    lanes.jumps[:] = [len(ts) for ts, _ in paths]
+    lanes.start = np.zeros(len(paths) + 1, dtype=np.intp)
+    np.cumsum(lanes.jumps, out=lanes.start[1:])
+    lanes.times = np.array([t for ts, _ in paths for t in ts], dtype=float)
+    lanes.states = np.array([x for _, ss in paths for x in accumulate(ss)], dtype=np.int64)
+    lanes.final[:] = [sum(ss) for _, ss in paths]
+    return lanes
 
 
-def _lane_l1_distances(start, times, signs, T, phi, center):
+def _lane_l1_distances(lanes, T, phi, center):
     """math.fsum of each lane's _lane_l1_pieces: exact, so independent of
     their order, and the distance that _lane_l1_below decides against."""
     out = []
-    for pieces, ends in _lane_l1_pieces(start, times, signs, T, phi, center):
+    for pieces, ends in _lane_l1_pieces(lanes, T, phi, center):
         ends = ends.tolist()
         pieces = pieces.tolist()
         out.extend(math.fsum(pieces[p:q]) for p, q in zip(ends, ends[1:]))
@@ -500,7 +515,7 @@ def colliding_lane_block(draw):
 @given(colliding_lane_block())
 def test_lane_l1_equals_l1_distance_of_each_scaled_path(case):
     paths, T, phi, center = case
-    assert _lane_l1_distances(*_block(paths), T, phi, center) == _per_lane_l1(paths, T, phi, center)
+    assert _lane_l1_distances(_block(paths), T, phi, center) == _per_lane_l1(paths, T, phi, center)
 
 
 def test_lane_l1_hand_cases_equal_l1_distance():
@@ -535,9 +550,9 @@ def test_lane_l1_hand_cases_equal_l1_distance():
         for phi in (1.0, 3.0):
             for block in (paths, paths * 30):  # 210 lanes span several slices
                 want = _per_lane_l1(block, T, phi, center)
-                assert _lane_l1_distances(*_block(block), T, phi, center) == want
-    assert _lane_l1_distances(*_block([([], [])] * 3), T, 1.0, centers[0]) == [0.15] * 3
-    assert _lane_l1_distances(*_block([]), T, 1.0, centers[0]) == []
+                assert _lane_l1_distances(_block(block), T, phi, center) == want
+    assert _lane_l1_distances(_block([([], [])] * 3), T, 1.0, centers[0]) == [0.15] * 3
+    assert _lane_l1_distances(_block([]), T, 1.0, centers[0]) == []
 
 
 def test_lane_l1_on_simulated_lanes_equals_l1_distance():
@@ -551,18 +566,17 @@ def test_lane_l1_on_simulated_lanes_equals_l1_distance():
     for T, phi, lanes in blocks:
         paths = [lanes.path(i) for i in range(lanes.final.size)]
         for center in centers:
-            got = _lane_l1_distances(lanes.start, lanes.times, lanes.signs, T, phi, center)
+            got = _lane_l1_distances(lanes, T, phi, center)
             assert got == _per_lane_l1(paths, T, phi, center)
 
 
 def test_lane_hits_are_strict_at_a_lanes_exact_distance():
     T, phi = 2.0, 2.0
     paths = [([0.5, 1.5], [1, -1]), ([0.25, 1.0, 1.75], [1, 1, -1]), ([0.5], [-1])]
-    lanes = _Lanes(len(paths))
-    lanes.start, lanes.times, lanes.signs = _block(paths)
+    lanes = _block(paths)
     lanes.below_zero[2] = True
     center = PiecewiseFunction.linear((0.0, 0.5, 1.0), (0.0, 0.75, 0.25))
-    d = _lane_l1_distances(lanes.start, lanes.times, lanes.signs, T, phi, center)
+    d = _lane_l1_distances(lanes, T, phi, center)
     assert d == _per_lane_l1(paths, T, phi, center) and d[0] != d[1]
     for i, eps in enumerate(d[:2]):
         event = EventSpec.neighborhood(center, eps)
@@ -590,9 +604,9 @@ def _around(d):
 def _assert_verdicts(block, T, phi, center, probe=None):
     """_lane_l1_below equals [d < eps ...] at eps around the distances of
     the lanes in probe (every lane by default); returns the distances."""
-    d = _lane_l1_distances(*block, T, phi, center)
+    d = _lane_l1_distances(block, T, phi, center)
     for eps in _around(d if probe is None else [d[i] for i in probe]):
-        got = _lane_l1_below(*block, T, phi, center, eps)
+        got = _lane_l1_below(block, T, phi, center, eps)
         assert got.dtype == bool and got.tolist() == [x < eps for x in d], eps
     return d
 
@@ -622,8 +636,26 @@ def test_lane_verdicts_on_hand_cases():
     for center in centers:
         for block in (paths, paths * 30):  # 150 lanes span several slices
             d = _assert_verdicts(_block(block), T, 2.0, center, probe=range(len(paths)))
-    assert d[0] == 0.1 and _lane_l1_below(*_block([]), T, 1.0, centers[0], 0.5).size == 0
-    assert 0.0 in _lane_l1_distances(*_block(paths), T, 2.0, centers[1])
+    assert d[0] == 0.1 and _lane_l1_below(_block([]), T, 1.0, centers[0], 0.5).size == 0
+    assert 0.0 in _lane_l1_distances(_block(paths), T, 2.0, centers[1])
+
+
+def test_lane_l1_after_a_first_slice_without_jumps():
+    # the second slice's jumps are the block's first stored ones, so its
+    # times and states are read from index 0 on
+    T = 2.0
+    paths = [([0.5, 1.5], [1, -1]), ([0.25, 1.0, 1.75], [1, 1, -1]), ([], []),
+             ([0.5], [-1]), ([1.0, 1.25], [1, 1])]
+    block = [([], [])] * _L1_SLICE + paths * 30
+    centers = [
+        PiecewiseFunction.linear((0.0, 0.5, 1.0), (0.0, 0.75, 0.25)),
+        PiecewiseFunction.step((0.0, 0.5, 1.0), (0.0, 0.5)),
+    ]
+    for center in centers:
+        for phi in (1.0, 2.0):
+            d = _assert_verdicts(_block(block), T, phi, center, probe=range(_L1_SLICE + 6))
+            assert d == _per_lane_l1(block, T, phi, center)
+            assert d[:_L1_SLICE] == [d[_L1_SLICE + 2]] * _L1_SLICE
 
 
 def test_lane_verdicts_at_ten_thousand_pieces():
@@ -640,7 +672,7 @@ def test_lane_verdicts_at_ten_thousand_pieces():
         tuple(1.0 if j % 128 < 8 else 0.45 * 2.0**-52 for j in range(n)),
     )
     block = _block([([], []), ([0.3, 0.6], [1, -1]), ([0.5], [-1])])
-    pieces, ends = next(_lane_l1_pieces(*block, 1.0, 1.0, center))
+    pieces, ends = next(_lane_l1_pieces(block, 1.0, 1.0, center))
     assert ends[1] - ends[0] == n
     d = _assert_verdicts(block, 1.0, 1.0, center)
     numpy_sum = np.add.reduceat(pieces, ends[:-1])[0]
@@ -655,6 +687,5 @@ def test_lane_verdicts_on_simulated_lanes():
     blocks = [(10.0, 10.0, lanes) for lanes in _xi_lanes(model, 10.0, 61, 0, 512, True)]
     blocks += [(3.0, 2.0, lanes) for lanes in _zeta_lanes(3.0, 61, 0, 512)]
     for T, phi, lanes in blocks:
-        block = (lanes.start, lanes.times, lanes.signs)
         for center in centers:
-            _assert_verdicts(block, T, phi, center, probe=range(0, lanes.final.size, 29))
+            _assert_verdicts(lanes, T, phi, center, probe=range(0, lanes.final.size, 29))

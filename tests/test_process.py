@@ -827,6 +827,17 @@ def test_lanes_that_redrew_refill_their_own_rows():
             assert jumps > len(draws) * 2 * _BLOCK
 
 
+def test_walks_fill_the_reused_rows_before_reading_them():
+    # every walk of a thread draws into the same rows: left holding NaN,
+    # they change no path of a narrow or a widened block
+    for rows in process._slots.rows(process._WIDE_LANES):
+        rows.fill(math.nan)
+    model, T = KERNEL_MODELS[1]
+    for r, got in enumerate(_lane_paths(_xi_lanes(model, T, 79, 0, 600, True))):
+        assert got == reference_xi(model, T, RngStream(79, r).generator())
+    assert r == 599
+
+
 def _sequential_clock(t, dt):
     """t after each holding time of dt, added one at a time as Python floats."""
     out = []
