@@ -234,47 +234,35 @@ def _lane_l1_pieces(lanes: _Lanes, T: float, phi_of_T: float, center: PiecewiseF
     math.fsum of them is l1_distance(scale_path(path_i, T, phi_of_T),
     center), path_i the Trajectory of lane i's jumps on [0, T].
 
-    The block's paths are kept: lane i starts at 0, and its jumps' times
-    and the states they lead to sit at start[i]:start[i+1].  Raw scaled
-    times never decrease, so a jump opens a breakpoint exactly where it
-    exceeds the previous jump's scaled time (0.0 before a lane's first)
-    and stays below 1.0, as in scale_path.  A segment keeps the state
-    before the next opened breakpoint (the previous jump's state, 0
-    before a lane's first), and a lane's last segment its final state.
-    Each segment is split at the center's breakpoints that lie strictly
-    inside it, and each piece is l1_distance's piece, with its
-    expressions in its order: a linear center's value at u is the same
-    expression l1_distance reuses from the previous piece.
+    The block's paths are kept (see _Lanes): lane i's entries run from
+    its head (0.0, 0) through its jumps to its tail (T, final).  Raw
+    scaled times never decrease, so a jump opens a breakpoint exactly
+    where it exceeds the scaled time of the entry before and stays below
+    1.0, as in scale_path.  A lane's segments end at its opened jumps
+    and at its tail (T/T is exactly 1.0), each keeps the state of the
+    entry before its end, and each starts at its lane's previous end or
+    at its head.  Each segment is split at the center's breakpoints that
+    lie strictly inside it, and each piece is l1_distance's piece, with
+    its expressions in its order: a linear center's value at u is the
+    same expression l1_distance reuses from the previous piece.
     """
     cb = np.array(center.breakpoints)
     cv = np.array(center.values)
     linear = center.mode == "linear"
     for l0 in range(0, lanes.final.size, _L1_SLICE):
-        first = lanes.start[l0:l0 + _L1_SLICE + 1]
-        counts = np.diff(first)
-        b = lanes.times[first[0]:first[-1]] / T
-        after = lanes.states[first[0]:first[-1]]
-        lane = np.repeat(np.arange(counts.size), counts)
-        # each jump's previous scaled time and state in its lane
-        lead = (first[:-1] - first[0])[counts > 0]
-        prev = np.empty_like(b)
-        prev[1:] = b[:-1]
-        prev[lead] = 0.0
-        before = np.empty_like(after)
-        before[1:] = after[:-1]
-        before[lead] = 0
-        opened = np.flatnonzero((b > prev) & (b < 1.0))
-        # lane i's segments sit at seg[i]..seg[i+1]-1, opened ones after its first
-        seg = np.zeros(counts.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(lane[opened], minlength=counts.size) + 1, out=seg[1:])
-        at = np.arange(opened.size) + lane[opened] + 1
-        u0 = np.zeros(seg[-1])
-        u1 = np.ones(seg[-1])
-        u0[at] = u1[at - 1] = b[opened]
-        x = np.empty(seg[-1], dtype=np.int64)
-        x[at - 1] = before[opened]
-        x[seg[1:] - 1] = lanes.final[l0:l0 + _L1_SLICE]
-        level = x / phi_of_T
+        start = lanes.start[l0:l0 + _L1_SLICE + 1]
+        b = lanes.times[start[0]:start[-1]] / T
+        head, tail = start[:-1] - start[0], start[1:] - start[0] - 1
+        opened = np.zeros(b.size, dtype=bool)
+        opened[1:] = (b[1:] > b[:-1]) & (b[1:] < 1.0)
+        begins, ends = opened.copy(), opened
+        begins[head] = ends[tail] = True
+        end = np.flatnonzero(ends)
+        u0, u1 = b[begins], b[end]
+        level = lanes.states[start[0]:start[-1]][end - 1] / phi_of_T
+        # lane i's segments sit at seg[i]..seg[i+1]-1
+        seg = np.zeros(start.size, dtype=np.intp)
+        seg[1:] = np.cumsum(ends)[tail]
         # split at center breakpoints strictly inside each segment
         lo = np.searchsorted(cb, u0, "right")
         splits = np.searchsorted(cb, u1, "left") - lo

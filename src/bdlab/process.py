@@ -234,9 +234,8 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL = 4
-# replicas whose seed words are derived in one pass (the estimators' chunk);
-# below _SHORT_SPAN rows a per-replica SeedSequence is cheaper than the pass
-_WORDS_BLOCK = 4096
+# below _SHORT_SPAN rows a per-replica SeedSequence is cheaper than the
+# vectorised pass of _seed_words
 _SHORT_SPAN = 16
 
 
@@ -285,28 +284,21 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack(words, axis=1)
 
 
-def _replica_words(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """SeedSequence((seed, r)).generate_state(4, np.uint64) for r in
-    start..stop-1, as uint64 arrays of up to _WORDS_BLOCK rows in order.
+def _replica_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 states (_pcg64_states rows) that RngStream(seed, r).generator()
+    starts from, for r in start..stop-1.
 
     The pair (seed, start) is validated before any words are derived;
-    every later index is larger, so no other pair needs checking.  A
-    block's words come from one vectorised pass, except that a block of
-    fewer than _SHORT_SPAN rows, or one reaching past 2**64, takes each
-    row from its own SeedSequence.
+    every later index is larger, so no other pair needs checking.  The
+    words come from one vectorised pass (_seed_words), except that a
+    span of fewer than _SHORT_SPAN rows, or one reaching past 2**64,
+    takes each row from its own SeedSequence.
     """
     RngStream(seed, start)
-    return _word_blocks(seed, start, stop)
-
-
-def _word_blocks(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    SeedSequence = np.random.SeedSequence
-    for lo in range(start, stop, _WORDS_BLOCK):
-        hi = min(lo + _WORDS_BLOCK, stop)
-        if hi - lo >= _SHORT_SPAN and hi <= 2**64:
-            yield _seed_words(seed, lo, hi)
-        else:
-            yield np.array([SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(lo, hi)])
+    if stop - start >= _SHORT_SPAN and stop <= 2**64:
+        return _pcg64_states(_seed_words(seed, start, stop))
+    words = [np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(start, stop)]
+    return _pcg64_states(np.array(words, dtype=np.uint64).reshape(-1, 4))
 
 
 # PCG64's 128-bit LCG multiplier (numpy's pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
@@ -476,8 +468,9 @@ class _Lanes:
     jumps counts the jumps made.  below_zero marks lanes that a walk
     retiring negative lanes stopped at their first negative state (their
     final and peak then describe the path up to that state only).  When
-    paths are kept, lane i's jumps are times[start[i]:start[i+1]], and
-    states there holds the state each jump leads to; path(i) gives them
+    paths are kept, lane i's entries are times[start[i]:start[i+1]] and
+    the states there: a head (0.0, 0), then each jump's time and the
+    state it leads to, then a tail (T, final).  path(i) gives the jumps
     as lists of times and signs.
     """
 
@@ -489,27 +482,31 @@ class _Lanes:
         self.jumps = np.zeros(n, dtype=np.intp)
         self.below_zero = np.zeros(n, dtype=bool)
 
-    def store_paths(self, groups: list) -> None:
-        """Store the jumps of groups, lane by lane: lane i's k-th jump
-        sits at start[i] + k.  A group (lanes, k, times, states) holds
-        jumps k, k+1, ... of lanes row by row: their times and the state
-        after each.  A row past a lane's last jump is not one of its
-        jumps."""
+    def store_paths(self, groups: list, T: float) -> None:
+        """Store the lanes' entries: lane i's head at start[i], its k-th
+        jump at start[i] + 1 + k and its tail at start[i + 1] - 1.  A
+        group (lanes, k, times, states) holds jumps k, k+1, ... of lanes
+        row by row: their times and the state after each.  A row past a
+        lane's last jump is not one of its jumps: it would land on or past
+        the lane's tail."""
         self.start = np.zeros(self.jumps.size + 1, dtype=np.intp)
-        np.cumsum(self.jumps, out=self.start[1:])
-        self.times = np.empty(self.start[-1])
-        self.states = np.empty(self.start[-1], dtype=np.int64)
+        np.cumsum(self.jumps + 2, out=self.start[1:])
+        self.times = np.zeros(self.start[-1])
+        self.states = np.zeros(self.start[-1], dtype=np.int64)
+        tail = self.start[1:] - 1
+        self.times[tail] = T
+        self.states[tail] = self.final
         for lane, k, times, states in groups:
-            jump = k + _ROWS[:len(states)]
-            made = jump < self.jumps[lane]
-            at = (self.start[lane] + jump)[made]
+            at = self.start[lane] + (k + 1 + _ROWS[:len(states)])
+            made = at < tail[lane]
+            at = at[made]
             self.times[at] = times[made]
             self.states[at] = states[made]
 
     def path(self, i: int) -> tuple[list[float], list[int]]:
         """Lane i's jump times and signs as Python lists."""
         lo, hi = self.start[i], self.start[i + 1]
-        return self.times[lo:hi].tolist(), np.diff(self.states[lo:hi], prepend=0).tolist()
+        return self.times[lo + 1:hi - 1].tolist(), np.diff(self.states[lo:hi - 1]).tolist()
 
 
 class _StateTable:
@@ -705,7 +702,7 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         if i.size:
             if i.size == t.size:
                 if keep_paths:
-                    out.store_paths(groups)
+                    out.store_paths(groups, T)
                 return out
             keep = (~hit).nonzero()[0]
             lane, base, epos, t, ups, peak = (
@@ -737,26 +734,23 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         k += c
 
 
-def _lane_blocks(words: Iterator[np.ndarray], T: float, rates_at, keep_paths: bool,
+def _lane_blocks(states: np.ndarray, T: float, rates_at, keep_paths: bool,
                  stop_below_zero: bool) -> Iterator[_Lanes]:
     """_walk_lanes over blocks of replicas, lane i of a block on this
-    thread's slot generator i re-keyed to its replica's PCG64 state.
+    thread's slot generator i re-keyed to its replica's row of states
+    (as _replica_states gives them).
 
-    words yields the replicas' seed words as _replica_words does.  Blocks
-    are _LANES wide and start with groups of _FIRST_COLUMNS jump columns;
-    after the first block whose longest lane made more than _LONG_WALK
-    jumps they are _WIDE_LANES wide and walk _COLUMNS columns a group.
-    Width and group only decide which lanes and jumps share a numpy
-    call: every lane draws from its own state in _walk_lanes' order, so
-    no draw depends on them.
+    Blocks are _LANES wide and start with groups of _FIRST_COLUMNS jump
+    columns; after the first block whose longest lane made more than
+    _LONG_WALK jumps they are _WIDE_LANES wide and walk _COLUMNS columns
+    a group.  Width and group only decide which lanes and jumps share a
+    numpy call: every lane draws from its own state in _walk_lanes'
+    order, so no draw depends on them.
     """
-    width, columns, states = _LANES, _FIRST_COLUMNS, np.empty((0, 4), dtype=np.uint64)
-    while True:
-        while len(states) < width and (more := next(words, None)) is not None:
-            states = np.concatenate((states, _pcg64_states(more)))
-        if not len(states):
-            return
-        block, states = states[:width], states[width:]
+    width, columns, lo = _LANES, _FIRST_COLUMNS, 0
+    while lo < len(states):
+        block = states[lo:lo + width]
+        lo += width
         lanes = _walk_lanes(_slots.keyed(block), T, rates_at, keep_paths, stop_below_zero, columns)
         if lanes.jumps.max() > _LONG_WALK:
             width, columns = _WIDE_LANES, _COLUMNS
@@ -767,17 +761,17 @@ def _xi_lanes(model: RateModel, T: float, seed: int, start: int, stop: int,
               keep_paths: bool) -> Iterator[_Lanes]:
     """Chain replicas start..stop-1 on substreams (seed, r), a block of
     lanes at a time (see _lane_blocks)."""
-    words = _replica_words(seed, start, stop)
+    states = _replica_states(seed, start, stop)
     _check_chain(model, T)
-    return _lane_blocks(words, T, _ChainRates(model), keep_paths, False)
+    return _lane_blocks(states, T, _ChainRates(model), keep_paths, False)
 
 
 def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
     """Reference-walk replicas start..stop-1 with paths, each stopped at
     its first negative state, a block of lanes at a time."""
-    words = _replica_words(seed, start, stop)
+    states = _replica_states(seed, start, stop)
     _check_horizon(T)
-    return _lane_blocks(words, T, _zeta_rates, True, True)
+    return _lane_blocks(states, T, _zeta_rates, True, True)
 
 
 def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:

@@ -283,7 +283,11 @@ def poisson_exact_log_pmf(P: float, Q: float, T: float, x: int) -> float:
     """
     if x < 0 or x != int(x):
         raise PreconditionError(f"x must be a nonnegative integer, got {x}")
-    a = poisson_mean(P, Q, T)
+    return _log_pmf(poisson_mean(P, Q, T), x)
+
+
+def _log_pmf(a: float, x: int) -> float:
+    """poisson_exact_log_pmf at mean a(T) = a, for a valid state x."""
     if a <= _SADDLE_MEAN:
         return x * math.log(a) - a - math.lgamma(x + 1.0)
     if x == 0:
@@ -347,9 +351,7 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
     # the window and within 60 e-folds of the start's
     far_out = (start + _MAX_WALK, start - 1 - _MAX_WALK) if a > _SHORT_WALK_MEAN else ()
     for far in far_out:
-        if lo <= far <= hi and poisson_exact_log_pmf(P, Q, T, far) >= (
-            poisson_exact_log_pmf(P, Q, T, start) - 60.0
-        ):
+        if lo <= far <= hi and _log_pmf(a, far) >= _log_pmf(a, start) - 60.0:
             raise PreconditionError(
                 f"the window sum needs more than {_MAX_WALK} terms on one side "
                 f"of state {start} (a(T) = {a:g})"
@@ -360,7 +362,7 @@ def poisson_log_window(P: float, Q: float, T: float, lo: float, hi: float) -> fl
         while lo <= x <= hi:
             if x > _MAX_STATE:
                 raise PreconditionError("the window sum needs states above 2**53")
-            lp = poisson_exact_log_pmf(P, Q, T, x)
+            lp = _log_pmf(a, x)
             terms.append(lp)
             peak = max(peak, lp)
             if lp < peak - 60.0:

@@ -245,42 +245,35 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
     """log_density of each hit lane's path, bit for bit, and -inf for
     every other lane of a reference-walk block.
 
-    Each hit lane gets its jumps as entries, then one closing entry at T.
-    The state of an entry is the one its lane's previous jump led to
-    (lanes.states), and 0 at the lane's first entry; a jump is up when
-    the next entry's state is higher.  An entry's A term is eta(x) times
-    the time since the lane's previous entry (or since 0.0), and a jump's
-    B term is ln lambda(x) or ln mu(x), all from rates (a _StateTable of
-    _density_row).  These are the doubles functional_A and functional_B
-    add, and math.fsum is correctly rounded, so a lane's sums do not
-    depend on the order of its terms.  Rates are looked up only up to
-    the hit lanes' peak, so a table model raises exactly when a hit lane
-    leaves its table.
+    A hit lane's kept entries run from its head (0.0, 0) through its
+    jumps to its tail (T, final).  Each entry after the head has an A
+    term: eta(x) times the time since the entry before, x the state of
+    that entry.  Each jump has a B term: ln lambda(x), or ln mu(x) when
+    its state is not above x.  eta, ln lambda and ln mu come from rates
+    (a _StateTable of _density_row).  These are the doubles
+    functional_A and functional_B add, and math.fsum is correctly
+    rounded, so a lane's sums do not depend on the order of its terms.
+    Rates are looked up only up to the hit lanes' peak, so a table model
+    raises exactly when a hit lane leaves its table.
     """
     out = np.full(hits.size, _NEG_INF)
     jumps = lanes.jumps[hits]
     if jumps.size == 0:
         return out.tolist()
-    close = np.cumsum(jumps + 1) - 1
-    first = close - jumps
-    is_jump = np.ones(close[-1] + 1, dtype=bool)
-    is_jump[close] = False
-    hit_jump = np.repeat(hits, lanes.jumps)
-    t = np.full(is_jump.size, T)
-    t[is_jump] = lanes.times[hit_jump]
-    x = np.zeros(is_jump.size, dtype=np.int64)
-    x[1:][is_jump[:-1]] = lanes.states[hit_jump]
-    t_prev = np.empty_like(t)
-    t_prev[1:] = t[:-1]
-    t_prev[first] = 0.0
+    entry = np.repeat(hits, lanes.jumps + 2)
+    t, x = lanes.times[entry], lanes.states[entry]
     eta, ln_up, ln_down = rates.upto(int(lanes.peak[hits].max()))
-    a = (eta[x] * (t - t_prev)).tolist()
-    x, up = x[:-1], x[1:] > x[:-1]  # a closing entry has no B term
-    b = np.where(up, ln_up[x], ln_down[x]).tolist()
+    # one term per pair of adjacent entries; a lane at entries lo..hi-1 sums
+    # a[lo:hi-1] and b[lo:hi-2] (its tail has no B term), so a pair from a
+    # tail to the next lane's head is never summed
+    before = x[:-1]
+    a = (eta[before] * np.diff(t)).tolist()
+    b = np.where(x[1:] > before, ln_up[before], ln_down[before]).tolist()
     fsum, ln2 = math.fsum, math.log(2.0)
+    end = np.cumsum(jumps + 2)
     out[hits] = [
-        T - fsum(a[lo:hi + 1]) + fsum(b[lo:hi]) + n * ln2
-        for lo, hi, n in zip(first.tolist(), close.tolist(), jumps.tolist())
+        T - fsum(a[lo:hi - 1]) + fsum(b[lo:hi - 2]) + n * ln2
+        for lo, hi, n in zip((end - jumps - 2).tolist(), end.tolist(), jumps.tolist())
     ]
     return out.tolist()
 

@@ -467,14 +467,16 @@ def test_scale_path_of_simulated_paths_equals_its_validated_rebuild():
 # a lockstep block's L1 distances against l1_distance of each lane's scaled path
 
 
-def _block(paths):
-    """A lane block whose kept paths are these (times, signs)."""
+def _block(paths, T):
+    """A lane block whose kept paths on [0, T] are these (times, signs),
+    each between its head (0.0, 0) and its tail (T, final)."""
     lanes = _Lanes(len(paths))
     lanes.jumps[:] = [len(ts) for ts, _ in paths]
     lanes.start = np.zeros(len(paths) + 1, dtype=np.intp)
-    np.cumsum(lanes.jumps, out=lanes.start[1:])
-    lanes.times = np.array([t for ts, _ in paths for t in ts], dtype=float)
-    lanes.states = np.array([x for _, ss in paths for x in accumulate(ss)], dtype=np.int64)
+    np.cumsum(lanes.jumps + 2, out=lanes.start[1:])
+    lanes.times = np.array([t for ts, _ in paths for t in (0.0, *ts, T)], dtype=float)
+    lanes.states = np.array([x for _, ss in paths for x in (*accumulate(ss, initial=0), sum(ss))],
+                            dtype=np.int64)
     lanes.final[:] = [sum(ss) for _, ss in paths]
     return lanes
 
@@ -515,7 +517,7 @@ def colliding_lane_block(draw):
 @given(colliding_lane_block())
 def test_lane_l1_equals_l1_distance_of_each_scaled_path(case):
     paths, T, phi, center = case
-    assert _lane_l1_distances(_block(paths), T, phi, center) == _per_lane_l1(paths, T, phi, center)
+    assert _lane_l1_distances(_block(paths, T), T, phi, center) == _per_lane_l1(paths, T, phi, center)
 
 
 def test_lane_l1_hand_cases_equal_l1_distance():
@@ -550,9 +552,9 @@ def test_lane_l1_hand_cases_equal_l1_distance():
         for phi in (1.0, 3.0):
             for block in (paths, paths * 30):  # 210 lanes span several slices
                 want = _per_lane_l1(block, T, phi, center)
-                assert _lane_l1_distances(_block(block), T, phi, center) == want
-    assert _lane_l1_distances(_block([([], [])] * 3), T, 1.0, centers[0]) == [0.15] * 3
-    assert _lane_l1_distances(_block([]), T, 1.0, centers[0]) == []
+                assert _lane_l1_distances(_block(block, T), T, phi, center) == want
+    assert _lane_l1_distances(_block([([], [])] * 3, T), T, 1.0, centers[0]) == [0.15] * 3
+    assert _lane_l1_distances(_block([], T), T, 1.0, centers[0]) == []
 
 
 def test_lane_l1_on_simulated_lanes_equals_l1_distance():
@@ -573,7 +575,7 @@ def test_lane_l1_on_simulated_lanes_equals_l1_distance():
 def test_lane_hits_are_strict_at_a_lanes_exact_distance():
     T, phi = 2.0, 2.0
     paths = [([0.5, 1.5], [1, -1]), ([0.25, 1.0, 1.75], [1, 1, -1]), ([0.5], [-1])]
-    lanes = _block(paths)
+    lanes = _block(paths, T)
     lanes.below_zero[2] = True
     center = PiecewiseFunction.linear((0.0, 0.5, 1.0), (0.0, 0.75, 0.25))
     d = _lane_l1_distances(lanes, T, phi, center)
@@ -616,7 +618,7 @@ def _assert_verdicts(block, T, phi, center, probe=None):
 def test_lane_verdicts_equal_exact_distance_tests(case):
     paths, T, phi, center = case
     # the lanes repeat, so the first few hold every distinct distance
-    _assert_verdicts(_block(paths), T, phi, center, probe=range(min(len(paths), 6)))
+    _assert_verdicts(_block(paths, T), T, phi, center, probe=range(min(len(paths), 6)))
 
 
 def test_lane_verdicts_on_hand_cases():
@@ -635,14 +637,14 @@ def test_lane_verdicts_on_hand_cases():
     ]
     for center in centers:
         for block in (paths, paths * 30):  # 150 lanes span several slices
-            d = _assert_verdicts(_block(block), T, 2.0, center, probe=range(len(paths)))
-    assert d[0] == 0.1 and _lane_l1_below(_block([]), T, 1.0, centers[0], 0.5).size == 0
-    assert 0.0 in _lane_l1_distances(_block(paths), T, 2.0, centers[1])
+            d = _assert_verdicts(_block(block, T), T, 2.0, center, probe=range(len(paths)))
+    assert d[0] == 0.1 and _lane_l1_below(_block([], T), T, 1.0, centers[0], 0.5).size == 0
+    assert 0.0 in _lane_l1_distances(_block(paths, T), T, 2.0, centers[1])
 
 
 def test_lane_l1_after_a_first_slice_without_jumps():
-    # the second slice's jumps are the block's first stored ones, so its
-    # times and states are read from index 0 on
+    # the first slice's lanes never jump, so it holds only heads and tails,
+    # and the second slice starts on the entries after them
     T = 2.0
     paths = [([0.5, 1.5], [1, -1]), ([0.25, 1.0, 1.75], [1, 1, -1]), ([], []),
              ([0.5], [-1]), ([1.0, 1.25], [1, 1])]
@@ -653,7 +655,7 @@ def test_lane_l1_after_a_first_slice_without_jumps():
     ]
     for center in centers:
         for phi in (1.0, 2.0):
-            d = _assert_verdicts(_block(block), T, phi, center, probe=range(_L1_SLICE + 6))
+            d = _assert_verdicts(_block(block, T), T, phi, center, probe=range(_L1_SLICE + 6))
             assert d == _per_lane_l1(block, T, phi, center)
             assert d[:_L1_SLICE] == [d[_L1_SLICE + 2]] * _L1_SLICE
 
@@ -671,7 +673,7 @@ def test_lane_verdicts_at_ten_thousand_pieces():
         tuple(j / n for j in range(n + 1)),
         tuple(1.0 if j % 128 < 8 else 0.45 * 2.0**-52 for j in range(n)),
     )
-    block = _block([([], []), ([0.3, 0.6], [1, -1]), ([0.5], [-1])])
+    block = _block([([], []), ([0.3, 0.6], [1, -1]), ([0.5], [-1])], 1.0)
     pieces, ends = next(_lane_l1_pieces(block, 1.0, 1.0, center))
     assert ends[1] - ends[0] == n
     d = _assert_verdicts(block, 1.0, 1.0, center)

@@ -19,7 +19,7 @@ from bdlab.process import (
     _FIRST_COLUMNS,
     _ChainRates,
     _lane_blocks,
-    _replica_words,
+    _replica_states,
     _running_sum,
     _xi_lanes,
     _zeta_lanes,
@@ -168,7 +168,7 @@ def test_xi_paths_stay_in_path_space():
 
 
 def _zeta_blocks(T, seed, n, keep_paths=False):
-    return _lane_blocks(_replica_words(seed, 0, n), T, _zeta_rates, keep_paths, False)
+    return _lane_blocks(_replica_states(seed, 0, n), T, _zeta_rates, keep_paths, False)
 
 
 def test_xi_mean_final_state_matches_exact_mean():
@@ -212,7 +212,8 @@ def test_xi_holding_time_at_zero():
     n = 20_000
     times = []
     for lanes in _xi_lanes(UNIT, 12.0, 19, 0, n, True):
-        times += lanes.times[lanes.start[:-1][lanes.jumps > 0]].tolist()
+        # a lane's first jump follows its head
+        times += lanes.times[lanes.start[:-1][lanes.jumps > 0] + 1].tolist()
     mean = sum(times) / len(times)
     se = 1.0 / math.sqrt(len(times))
     assert abs(mean - 1.0) <= 4.0 * se
@@ -265,54 +266,49 @@ def test_simulate_rejects_bad_horizon():
 
 WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(2026, 3, i) for i in range(3)]
 WORD_SPANS = [
-    (0, 8300),  # three 4096-replica blocks
-    (0, 4100),  # a last block too short for the vectorised pass
+    (0, 8300),  # more than two estimator chunks
+    (0, 4100),
     (4000, 4200),  # across the first chunk boundary, as a mid-chunk span
-    (100, 115),  # one short block
-    (100, 116),  # the shortest vectorised block
+    (100, 115),  # too short for the vectorised pass
+    (100, 116),  # the shortest vectorised span
     (2**32 - 2100, 2**32 + 2100),  # r gains a second uint32 word
     (2**64 - 100, 2**64),  # the largest indices with a vectorised row
 ]
 
 
-def _seed_sequence_words(seed, start, stop):
-    return np.array([
-        np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(start, stop)
-    ])
+def _seed_sequence_states(seed, start, stop):
+    words = [np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(start, stop)]
+    return process._pcg64_states(np.array(words, dtype=np.uint64).reshape(-1, 4))
 
 
 def test_replica_stream_words_equal_seed_sequence():
     checked = 0
     for seed in WORD_SEEDS:
-        for start, stop in WORD_SPANS:
-            blocks = list(_replica_words(seed, start, stop))
-            assert [len(b) for b in blocks] == [
-                min(lo + process._WORDS_BLOCK, stop) - lo
-                for lo in range(start, stop, process._WORDS_BLOCK)
-            ]
-            got = np.concatenate(blocks)
-            assert got.dtype == np.uint64
-            np.testing.assert_array_equal(got, _seed_sequence_words(seed, start, stop))
+        for start, stop in WORD_SPANS + [(7, 8)]:
+            got = _replica_states(seed, start, stop)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _seed_sequence_states(seed, start, stop))
             checked += len(got)
     assert checked >= 10**5
 
 
 def test_replica_streams_past_two_to_the_64_keep_seed_sequence():
     start, stop = 2**64 - 2, 2**64 + 2
-    # a block that reaches 2**64 takes each row from SeedSequence, and
+    # a span that reaches 2**64 takes each row from SeedSequence, and
     # the lanes walk on the states of RngStream(9, r)'s generators
-    got = np.concatenate(list(_replica_words(9, start, stop)))
-    np.testing.assert_array_equal(got, _seed_sequence_words(9, start, stop))
-    lanes = next(_lane_blocks(_replica_words(9, start, stop), 3.0, _zeta_rates, True, False))
+    states = _replica_states(9, start, stop)
+    np.testing.assert_array_equal(states, _seed_sequence_states(9, start, stop))
+    lanes = next(_lane_blocks(states, 3.0, _zeta_rates, True, False))
     for i, r in enumerate(range(start, stop)):
         want = reference_zeta(3.0, RngStream(9, r).generator())
         assert _lane_jumps(lanes, i) == want
         assert _jumps(simulate_zeta(3.0, RngStream(9, r))) == want
     with pytest.raises(PreconditionError):
-        list(_replica_words(2**64, 0, 3))
+        _replica_states(2**64, 0, 3)
     with pytest.raises(PreconditionError):
-        list(_replica_words(0, -1, 3))
-    assert list(_replica_words(0, 5, 5)) == []
+        _replica_states(0, -1, 3)
+    assert _replica_states(0, 5, 5).shape == (0, 4)
+    assert list(_lane_blocks(_replica_states(0, 5, 5), 3.0, _zeta_rates, True, False)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +834,38 @@ def test_walks_fill_the_reused_rows_before_reading_them():
     assert r == 599
 
 
+def test_kept_paths_sit_between_a_head_and_a_tail():
+    # lane i's entries are its head (0.0, 0), its jumps and its tail
+    # (T, final); path(i) reads the jumps between them.  The chain walks a
+    # 256-lane block and then a widened one; the reference walk has lanes
+    # stopped below zero (their path is the prefix up to that state) and
+    # lanes that never jump
+    model, T = KERNEL_MODELS[1]
+    walks = {
+        T: (list(_xi_lanes(model, T, 83, 0, 600, True)), lambda gen: reference_xi(model, T, gen)),
+        3.0: (list(_zeta_lanes(3.0, 83, 0, 600)), lambda gen: reference_zeta(3.0, gen)),
+    }
+    assert [lanes.final.size for lanes in walks[T][0]] == [256, 344]
+    for T, (blocks, reference) in walks.items():
+        r = 0
+        for lanes in blocks:
+            head, tail = lanes.start[:-1], lanes.start[1:] - 1
+            assert np.array_equal(np.diff(lanes.start), lanes.jumps + 2)
+            assert (lanes.times[head] == 0.0).all() and (lanes.states[head] == 0).all()
+            assert (lanes.times[tail] == T).all()
+            assert np.array_equal(lanes.states[tail], lanes.final)
+            for i in range(lanes.final.size):
+                times, signs = reference(RngStream(83, r).generator())
+                k = int(lanes.jumps[i])
+                assert k == len(times) or lanes.below_zero[i]
+                assert lanes.path(i) == (list(times[:k]), list(signs[:k]))
+                r += 1
+        assert r == 600
+    zeta = walks[3.0][0]
+    assert any(lanes.below_zero.any() for lanes in zeta)
+    assert any((lanes.jumps == 0).any() for lanes in zeta)
+
+
 def _sequential_clock(t, dt):
     """t after each holding time of dt, added one at a time as Python floats."""
     out = []
@@ -973,7 +1001,7 @@ def test_block_width_never_changes_a_replica(monkeypatch):
         "table": lambda: _xi_lanes(table, 20.0, 109, 0, 600, True),
         "table no paths": lambda: _xi_lanes(table, 20.0, 109, 0, 600, False),
         "zeta": lambda: _zeta_lanes(80.0, 113, 0, 600),
-        "zeta no paths": lambda: _lane_blocks(_replica_words(113, 0, 600), 80.0,
+        "zeta no paths": lambda: _lane_blocks(_replica_states(113, 0, 600), 80.0,
                                               _zeta_rates, False, True),
     }
     want = {}
