@@ -1,8 +1,10 @@
 #!/bin/sh
 # Run the 8 shipped commands from the source of one checkout, each as CSV
-# and as JSON, serial (--threads 0) and pooled (--threads 2), and write
-# every run's stdout, stderr and exit code to OUTDIR (96 files).  Two
-# checkouts give the same bytes when `diff -r` of their OUTDIRs is empty:
+# and as JSON, serial (--threads 0) and pooled (--threads 2 and 3), and
+# write every run's stdout, stderr and exit code to OUTDIR (144 files).
+# Three workers spread the 25- and 49-chunk calls of consistency_small_T
+# over the pool differently from two.  Two checkouts give the same bytes
+# when `diff -r` of their OUTDIRs is empty:
 #
 #   scripts/shipped_outputs.sh OLD_CHECKOUT /tmp/old
 #   scripts/shipped_outputs.sh NEW_CHECKOUT /tmp/new
@@ -18,7 +20,7 @@ outdir=$(cd "$2" && pwd)
 cd "$checkout"
 while read -r name command; do
     for format in csv json; do
-        for threads in 0 2; do
+        for threads in 0 2 3; do
             stem="$outdir/$name.$format.threads$threads"
             status=0
             # $command is split into its words on purpose

@@ -49,6 +49,9 @@ from .weights import (
     direct_estimate,
     importance_estimate,
     terminal_states,
+    _direct_chunk,
+    _importance_chunk,
+    _planned,
 )
 
 __all__ = [
@@ -565,6 +568,9 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
     standard errors.  The predicted column holds the exact reference
     when the closed-form law gives one, otherwise the companion
     estimator's normalized value; the flag records what was compared.
+    With threads > 0 the chunks of every call are handed to the pool
+    before the first call, in call order, so the workers run ahead while
+    this process reduces the calls one by one.
     """
     scaling = _require(config, "scaling", "the consistency check")
     if any(T > 5 for T in config.t_grid):
@@ -573,34 +579,47 @@ def run_consistency_check(config: ExperimentConfig) -> Table:
             "weights degenerate quickly beyond that",
             stacklevel=2,
         )
-    model, event = config.model, config.event
+    model, event, n = config.model, config.event, config.samples
+    full_space = EventSpec.full_space()
+    tags = (0, 1, 2) if event is not None and event.kind != "full_space" else (0,)
+    # one entry per estimator call, in call order: per grid point the
+    # full-space importance estimate (tag 0), then the event's direct
+    # (tag 1) and importance (tag 2) estimates
+    calls = [
+        (i, T, phi(scaling, T), full_space if tag == 0 else event, tag,
+         derive_seed(config.seed, 1, i, tag))
+        for i, T in enumerate(config.t_grid)
+        for tag in tags
+    ]
+    plan = [
+        (_direct_chunk if tag == 1 else _importance_chunk, (model, T, p, target, seed), n[i])
+        for i, T, p, target, tag, seed in calls
+    ]
     rows = []
-    for i, T in enumerate(config.t_grid):
-        p = phi(scaling, T)
-        psi = normalizer(scaling, T)
-
-        def estimate(estimator, target: EventSpec, tag: int) -> Estimate:
-            seed = derive_seed(config.seed, 1, i, tag)
-            return estimator(model, T, p, target, config.samples[i], seed, config.threads)
-
-        full = estimate(importance_estimate, EventSpec.full_space(), 0)
-        ok = abs(full.log_value) <= 4.0 * full.relative_std_error
-        flag = _verdict("normalization", ok, "event=full_space", "method=importance")
-        rows.append(_row(T, p, psi, full.log_value, 0.0, flag, full))
-        if event is None or event.kind == "full_space":
-            continue
-        est_d = estimate(direct_estimate, event, 1)
-        est_i = estimate(importance_estimate, event, 2)
-        z = agreement_z(est_d, est_i)
-        ref = None
-        if event.kind == "terminal_window" and model.exact_law_available:
-            raw_ref = poisson_log_window(model.P, model.Q, T, event.lo * p, event.hi * p)
-            ref = _normalized(raw_ref, psi)
-        parts = (f"ref={'companion' if ref is None else 'exact'}", f"z={z:.2f}")
-        for method, est, other in (("direct", est_d, est_i), ("importance", est_i, est_d)):
-            predicted = _normalized(other.log_value, psi) if ref is None else ref
-            flag = _verdict("agree", z <= 3.0, f"event={event.kind}", f"method={method}", *parts)
-            rows.append(_row(T, p, psi, est.log_value, predicted, flag, est))
+    with _planned(plan, config.threads):
+        for i, T, p, target, tag, seed in calls:
+            psi = normalizer(scaling, T)
+            estimator = direct_estimate if tag == 1 else importance_estimate
+            est = estimator(model, T, p, target, n[i], seed, config.threads)
+            if tag == 0:
+                ok = abs(est.log_value) <= 4.0 * est.relative_std_error
+                flag = _verdict("normalization", ok, "event=full_space", "method=importance")
+                rows.append(_row(T, p, psi, est.log_value, 0.0, flag, est))
+                continue
+            if tag == 1:
+                est_d = est
+                continue
+            est_i = est
+            z = agreement_z(est_d, est_i)
+            ref = None
+            if event.kind == "terminal_window" and model.exact_law_available:
+                raw_ref = poisson_log_window(model.P, model.Q, T, event.lo * p, event.hi * p)
+                ref = _normalized(raw_ref, psi)
+            parts = (f"ref={'companion' if ref is None else 'exact'}", f"z={z:.2f}")
+            for method, est, other in (("direct", est_d, est_i), ("importance", est_i, est_d)):
+                predicted = _normalized(other.log_value, psi) if ref is None else ref
+                flag = _verdict("agree", z <= 3.0, f"event={event.kind}", f"method={method}", *parts)
+                rows.append(_row(T, p, psi, est.log_value, predicted, flag, est))
     return _table(config, RESULT_COLUMNS, rows)
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,16 +312,21 @@ def _terminal_chunk(args) -> list[int]:
 # The process pool that every pooled _run_chunks call of this process
 # shares.  It starts at the first pooled call and its workers are forked
 # then, so they see the module state of that moment; Python's own exit
-# hook for executors shuts it down when the interpreter exits.
+# hook for executors shuts it down when the interpreter exits.  The lock
+# is reentrant because a live plan holds it while its thread's calls run.
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
-_pool_lock = threading.Lock()
+_pool_lock = threading.RLock()
+# this thread's live plan (see _planned): a list of (key, futures) pairs
+_local = threading.local()
 
 
 def _forget_pool() -> None:
-    """In a forked child, the parent's pool and lock are not this process's."""
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+    """In a forked child, the parent's pool, lock and plan are not this
+    process's."""
+    global _pool, _pool_size, _pool_lock, _local
+    _pool, _pool_size, _pool_lock = None, 0, threading.RLock()
+    _local = threading.local()
 
 
 os.register_at_fork(after_in_child=_forget_pool)
@@ -335,6 +341,46 @@ def _drop_pool() -> None:
         _pool = None
 
 
+def _size_pool(need: int, threads: int) -> None:
+    """Keep the live pool when it has at least need and at most threads
+    workers; otherwise shut it down and start one of need workers."""
+    global _pool, _pool_size
+    if not need <= _pool_size <= threads:
+        _drop_pool()
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=need), need
+
+
+def _failed(exc: BaseException) -> None:
+    """A dead worker or an interrupt drops the pool, so the next call
+    starts afresh; a chunk's own error leaves it as it is."""
+    if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
+        _drop_pool()
+
+
+def _spans(n: int) -> list[tuple[int, int]]:
+    return [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+
+
+def _submit(worker, common, n: int) -> list[Future]:
+    """Hand each chunk of replicas 0..n-1 to the pool, in chunk order."""
+    return [_pool.submit(worker, common + span) for span in _spans(n)]
+
+
+def _collect(futures: list[Future]) -> list:
+    """The chunks' results concatenated in chunk order; on an error the
+    call's chunks that have not started are cancelled."""
+    out: list = []
+    try:
+        for future in futures:
+            out.extend(future.result())
+    except BaseException as exc:
+        for future in futures:
+            future.cancel()
+        _failed(exc)
+        raise
+    return out
+
+
 def _run_chunks(worker, common, n: int, threads: int) -> list:
     """Map a chunk worker over replicas 0..n-1, serial or in processes.
 
@@ -343,30 +389,77 @@ def _run_chunks(worker, common, n: int, threads: int) -> list:
     thread count.  A pooled call needs min(threads, chunks) workers and
     reuses the live pool when it has at least that many and at most
     threads; otherwise the old pool is shut down before a new one of
-    that size starts.  A chunk's own error leaves the pool as it is; a
-    dead worker or an interrupt drops it, so the next call starts afresh.
+    that size starts.  A call that is the head of this thread's plan
+    collects the chunks the plan submitted.  A chunk's own error leaves
+    the pool as it is; a dead worker or an interrupt drops it, so the
+    next call starts afresh.
     """
-    global _pool, _pool_size
-    spans = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
-    arg_list = [common + span for span in spans]
-    out: list = []
+    spans = _spans(n)
     if threads <= 0 or len(spans) == 1:
-        for args in arg_list:
-            out.extend(worker(args))
+        out: list = []
+        for span in spans:
+            out.extend(worker(common + span))
         return out
-    need = min(threads, len(spans))
     with _pool_lock:
-        if not need <= _pool_size <= threads:
-            _drop_pool()
-            _pool, _pool_size = ProcessPoolExecutor(max_workers=need), need
+        plan = getattr(_local, "plan", None)
+        if plan and plan[0][0] == (worker, common, n):
+            return _collect(plan.pop(0)[1])
         try:
-            for part in _pool.map(worker, arg_list):
-                out.extend(part)
+            _size_pool(min(threads, len(spans)), threads)
+            futures = _submit(worker, common, n)
         except BaseException as exc:
-            if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
-                _drop_pool()
+            _failed(exc)
             raise
-    return out
+        return _collect(futures)
+
+
+@contextmanager
+def _planned(calls, threads: int):
+    """Submit the chunks of a run of estimator calls before the first
+    call is made, so the pool works on later calls while the caller
+    reduces earlier ones.
+
+    calls lists the calls in the order they will be made, each as the
+    (worker, common, n) its _run_chunks receives, with phi_of_T at
+    common[2].  The pool is sized once for the largest call, and the
+    chunks of each call with more than one chunk are submitted in call
+    order.  Planning never raises: it stops before the first call that
+    fails _check_estimate, which raises in its own turn, and at a pool
+    that refuses work.  The plan holds the pool lock for its life, so no
+    other thread resizes or drops the pool under it; on exit it cancels
+    the chunks no call collected, and a dead worker or an interrupt
+    drops the pool.
+    """
+    keys = []
+    for worker, common, n in calls:
+        try:
+            _check_estimate(n, common[2])
+        except PreconditionError:
+            break
+        if len(_spans(n)) > 1:
+            keys.append((worker, common, n))
+    if threads <= 0 or not keys:
+        yield
+        return
+    with _pool_lock:
+        plan = _local.plan = []
+        try:
+            _size_pool(min(threads, max(len(_spans(n)) for _, _, n in keys)), threads)
+            for key in keys:
+                try:
+                    plan.append((key, _submit(*key)))
+                except RuntimeError:  # a broken or shut-down pool
+                    break
+            yield
+        except BaseException as exc:
+            _failed(exc)
+            raise
+        finally:
+            if getattr(_local, "plan", None) is plan:  # not in a forked child
+                for _, futures in plan:
+                    for future in futures:
+                        future.cancel()
+                _local.plan = None
 
 
 def _estimate_from_logw(logw: list[float]) -> Estimate:

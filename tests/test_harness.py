@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bdlab.harness as harness
+from bdlab import weights
 from bdlab.errors import ConfigError, PreconditionError
 from bdlab.harness import (
     POISSON_CHECK_COLUMNS,
@@ -28,6 +29,7 @@ from bdlab.harness import (
     write_results,
 )
 from bdlab.paths import PiecewiseFunction
+from bdlab.process import RateModel
 from bdlab.rates import (
     ScalingFamily,
     marginal_log_prob,
@@ -706,3 +708,78 @@ def test_runs_are_thread_count_invariant():
     serial = run_consistency_check(ExperimentConfig.from_dict(dict(cons, threads=0)))
     threaded = run_consistency_check(ExperimentConfig.from_dict(dict(cons, threads=4)))
     assert serial.rows == threaded.rows
+
+
+@pytest.mark.parametrize(
+    "event", [{"kind": "terminal_window", "lo": 0.0, "hi": 0.5}, {"kind": "full_space"}]
+)
+def test_planned_consistency_check_keeps_its_bytes(no_pool, monkeypatch, event):
+    # one, two and three chunks of 4096 replicas: the one-chunk calls run
+    # in this process, and at three threads the pool grows for the third
+    # point; each planned call is submitted once, by the plan
+    submitted = []
+    submit = weights._submit
+    monkeypatch.setattr(weights, "_submit", lambda *key: submitted.append(key[2]) or submit(*key))
+    cfg = config_dict(
+        scaling={"family": "exponential", "k": 1.0},
+        t_grid=[1.0, 1.5, 2.0],
+        samples=[100, 8192, 8193],
+        seed=29,
+        event=event,
+    )
+    calls = 3 if event["kind"] == "terminal_window" else 1
+    want = None
+    for threads in (0, 2, 3, 2):
+        submitted.clear()
+        table = run_consistency_check(ExperimentConfig.from_dict(dict(cfg, threads=threads)))
+        out = emit_results(table, "csv"), emit_results(table, "json")
+        # the JSON echoes the config, threads included
+        out = out[0], out[1].replace(f'"threads": {threads}', '"threads": 0')
+        want = want or out
+        assert out == want
+        assert submitted == ([] if threads == 0 else [8192] * calls + [8193] * calls)
+        assert getattr(weights._local, "plan", None) is None
+
+
+def test_a_later_table_error_is_the_serial_one(no_pool):
+    # a six-state table that only the second point's replicas run out of
+    cfg = config_dict(
+        model={"kind": "table", "entries": [[1.0, float(x)] for x in range(6)]},
+        scaling={"family": "poly", "alpha": 1.0},
+        t_grid=[0.05, 4.0],
+        samples=8192,
+        seed=31,
+        event={"kind": "terminal_window", "lo": 0.0, "hi": 1.0},
+    )
+    errors = []
+    for threads in (0, 2):
+        with pytest.raises(PreconditionError, match="outside rate table") as caught:
+            run_consistency_check(ExperimentConfig.from_dict(dict(cfg, threads=threads)))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert getattr(weights._local, "plan", None) is None
+    pool = weights._pool
+    assert pool is not None
+    window = weights.EventSpec.terminal_window(0.0, 0.5)
+    unit = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
+    serial = weights.importance_estimate(unit, 1.0, 2.0, window, 8192, 3, threads=0)
+    assert weights.importance_estimate(unit, 1.0, 2.0, window, 8192, 3, threads=2) == serial
+    assert weights._pool is pool
+
+
+def test_a_later_overflowing_phi_is_refused_as_in_serial(no_pool):
+    cfg = config_dict(
+        scaling={"family": "exponential", "k": 1.0},
+        t_grid=[1.0, 800.0],
+        samples=8192,
+        seed=37,
+        event={"kind": "terminal_window", "lo": 0.0, "hi": 0.5},
+    )
+    errors = []
+    for threads in (0, 2):
+        with pytest.warns(UserWarning, match="small T"):
+            with pytest.raises(PreconditionError, match="phi_of_T") as caught:
+                run_consistency_check(ExperimentConfig.from_dict(dict(cfg, threads=threads)))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == "phi_of_T must be positive, got inf"
+    assert getattr(weights._local, "plan", None) is None

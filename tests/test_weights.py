@@ -2,7 +2,9 @@ import hashlib
 import math
 import os
 import signal
+import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -317,25 +319,21 @@ def test_estimator_determinism_and_chunk_independence():
     assert other_seed != serial
 
 
-@pytest.fixture
-def no_pool():
-    """Start and end the test without a live process pool, so that no
-    fake executor outlives it and no earlier pool is reused."""
-    weights._drop_pool()
-    yield
-    weights._drop_pool()
-
-
 class CountingPool:
     """Stands in for the process pool: records its size and its shutdowns,
-    maps in-process."""
+    runs each submitted chunk in-process."""
 
     def __init__(self, max_workers, started, stopped):
         self.size, self.stopped = max_workers, stopped
         started.append(max_workers)
 
-    def map(self, fn, args):
-        return map(fn, args)
+    def submit(self, fn, args):
+        future = Future()
+        try:
+            future.set_result(fn(args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def shutdown(self, wait=True, cancel_futures=False):
         assert wait
@@ -380,11 +378,15 @@ def _die(args):
 
 
 def test_a_dead_worker_drops_the_pool(no_pool):
-    with pytest.raises(BrokenProcessPool):
-        _run_chunks(_die, (), 8192, 2)
-    assert weights._pool is None
     want = terminal_states(UNIT, 1.0, 8192, 7, threads=0)
-    assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+    # the second time the dead worker's call is planned (the plan reads
+    # phi_of_T at common[2])
+    for plan in ([], [(_die, (None, None, 1.0), 8192)]):
+        with weights._planned(plan, 2):
+            with pytest.raises(BrokenProcessPool):
+                _run_chunks(_die, (None, None, 1.0), 8192, 2)
+        assert weights._pool is None
+        assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
 
 
 def test_a_chunk_error_keeps_the_pool(no_pool):
@@ -412,6 +414,18 @@ def test_estimates_equal_across_pool_sizes(no_pool):
     assert got[0::2] == got[:1] * 4 and got[1::2] == got[1:2] * 4
 
 
+def _exit_code(pid: int) -> int | None:
+    """A forked child's exit code; None if it ran past a minute and was killed."""
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        return None
+    return os.waitstatus_to_exitcode(done[1])
+
+
 def test_a_forked_child_starts_its_own_pool(no_pool):
     want = terminal_states(UNIT, 1.0, 8192, 7, threads=0)
     assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
@@ -425,15 +439,48 @@ def test_a_forked_child_starts_its_own_pool(no_pool):
             weights._drop_pool()
         finally:
             os._exit(0 if ok else 1)
-    deadline = time.monotonic() + 60.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    assert _exit_code(pid) == 0
     assert weights._pool is parent_pool
     assert terminal_states(UNIT, 1.0, 8192, 7, threads=2) == want
+
+
+WINDOW = EventSpec.terminal_window(0.0, 0.5)
+# one importance call of two chunks: its arguments and its plan entry
+PLANNED = (UNIT, 1.0, 2.0, WINDOW, 8192, 3)
+PLAN_KEY = (_importance_chunk, (UNIT, 1.0, 2.0, WINDOW, 3), 8192)
+
+
+def test_a_plan_belongs_to_its_thread(no_pool):
+    want = importance_estimate(*PLANNED, threads=0)
+    got = []
+    other = threading.Thread(target=lambda: got.append(importance_estimate(*PLANNED, threads=2)))
+    with weights._planned([PLAN_KEY], 2):
+        plan = list(weights._local.plan)
+        other.start()
+        other.join(timeout=0.5)  # it waits for the pool the plan holds
+        assert weights._local.plan == plan and len(plan) == 1
+        assert importance_estimate(*PLANNED, threads=2) == want
+        assert weights._local.plan == []
+    other.join(timeout=60.0)
+    assert not other.is_alive() and got == [want]
+    assert getattr(weights._local, "plan", None) is None
+
+
+def test_a_child_forked_under_a_plan_starts_without_it(no_pool):
+    want = importance_estimate(*PLANNED, threads=0)
+    with weights._planned([PLAN_KEY], 2):
+        pid = os.fork()
+        if pid == 0:  # the child: exit status 0 only if all went as it should
+            ok = getattr(weights._local, "plan", None) is None and weights._pool is None
+            try:
+                ok = ok and importance_estimate(*PLANNED, threads=2) == want
+                weights._drop_pool()
+            finally:
+                os._exit(0 if ok else 1)
+        assert _exit_code(pid) == 0
+        assert len(weights._local.plan) == 1
+        assert importance_estimate(*PLANNED, threads=2) == want
+        assert weights._local.plan == []
 
 
 def test_agreement_z_conventions():
