@@ -3,8 +3,9 @@
 # and as JSON, serial (--threads 0) and pooled (--threads 2 and 3), and
 # write every run's stdout, stderr and exit code to OUTDIR (144 files).
 # Three workers spread the 25- and 49-chunk calls of consistency_small_T
-# over the pool differently from two.  Two checkouts give the same bytes
-# when `diff -r` of their OUTDIRs is empty:
+# over the pool differently from two.  Once all are written, it lists
+# each run whose exit code is not 0 and exits 1.  Two checkouts give the
+# same bytes when both exit 0 and `diff -r` of their OUTDIRs is empty:
 #
 #   scripts/shipped_outputs.sh OLD_CHECKOUT /tmp/old
 #   scripts/shipped_outputs.sh NEW_CHECKOUT /tmp/new
@@ -39,3 +40,11 @@ consistency_small_T consistency-check --config configs/consistency_small_T.json
 level_cross level-cross-scan --config configs/level_cross.json
 rate_eval_exp rate-eval --config configs/rate_eval_exp.json --profile configs/ramp_profile.json
 COMMANDS
+failed=0
+for code in "$outdir"/*.exit; do
+    if [ "$(cat "$code")" != 0 ]; then
+        echo "exit $(cat "$code"): ${code%.exit}" >&2
+        failed=1
+    fi
+done
+exit "$failed"

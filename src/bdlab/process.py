@@ -290,15 +290,17 @@ def _replica_states(seed: int, start: int, stop: int) -> np.ndarray:
 
     The pair (seed, start) is validated before any words are derived;
     every later index is larger, so no other pair needs checking.  The
-    words come from one vectorised pass (_seed_words), except that a
-    span of fewer than _SHORT_SPAN rows, or one reaching past 2**64,
-    takes each row from its own SeedSequence.
+    rows come from one vectorised pass (_seed_words, _pcg64_states),
+    except that a span of fewer than _SHORT_SPAN rows, or one reaching
+    past 2**64, reads each row from numpy's own
+    PCG64(SeedSequence((seed, r))).state.
     """
     RngStream(seed, start)
     if stop - start >= _SHORT_SPAN and stop <= 2**64:
         return _pcg64_states(_seed_words(seed, start, stop))
-    words = [np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(start, stop)]
-    return _pcg64_states(np.array(words, dtype=np.uint64).reshape(-1, 4))
+    keys = [np.random.PCG64(np.random.SeedSequence((seed, r))).state["state"] for r in range(start, stop)]
+    rows = [(k["state"] % 2**64, k["state"] >> 64, k["inc"] % 2**64, k["inc"] >> 64) for k in keys]
+    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
 
 
 # PCG64's 128-bit LCG multiplier (numpy's pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
@@ -776,14 +778,11 @@ def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
 
 def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:
     """The path of stream's replica: a one-lane walk on slot 0, re-keyed
-    to the state that stream.generator() starts from, as numpy's PCG64
-    seeds it (a _pcg64_states row).  Times in (0, T) and signs of +-1
-    are what Trajectory checks, so it is built without rechecking."""
-    seq = np.random.SeedSequence((stream.seed, stream.replica_index))
-    key = np.random.PCG64(seq).state["state"]
-    state, inc = key["state"], key["inc"]
-    row = np.array([[state % 2**64, state >> 64, inc % 2**64, inc >> 64]], dtype=np.uint64)
-    lanes = _walk_lanes(_slots.keyed(row), T, rates_at, True, False)
+    to the state that stream.generator() starts from (its
+    _replica_states row).  Times in (0, T) and signs of +-1 are what
+    Trajectory checks, so it is built without rechecking."""
+    r = stream.replica_index
+    lanes = _walk_lanes(_slots.keyed(_replica_states(stream.seed, r, r + 1)), T, rates_at, True, False)
     times, signs = lanes.path(0)
     return _unvalidated(
         Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0

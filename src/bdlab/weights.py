@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,8 +57,9 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-# replicas per dispatch unit when running estimators in parallel; fixed so
-# that the replica -> substream mapping never depends on the worker count
+# replicas per chunk, the pool's unit of work (one submitted call, one
+# result list); replica r draws from substream (seed, r) whichever chunk
+# holds it, so no result depends on this size
 _CHUNK = 4096
 
 
@@ -317,16 +318,16 @@ def _terminal_chunk(args) -> list[int]:
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.RLock()
-# this thread's live plan (see _planned): a list of (key, futures) pairs
-_local = threading.local()
+# the calls whose chunks the pool holds, in call order, as (key, futures)
+# pairs; only the thread that holds _pool_lock reads or changes it
+_ahead: list = []
 
 
 def _forget_pool() -> None:
-    """In a forked child, the parent's pool, lock and plan are not this
-    process's."""
-    global _pool, _pool_size, _pool_lock, _local
-    _pool, _pool_size, _pool_lock = None, 0, threading.RLock()
-    _local = threading.local()
+    """In a forked child, the parent's pool, lock and submitted calls are
+    not this process's."""
+    global _pool, _pool_size, _pool_lock, _ahead
+    _pool, _pool_size, _pool_lock, _ahead = None, 0, threading.RLock(), []
 
 
 os.register_at_fork(after_in_child=_forget_pool)
@@ -341,44 +342,37 @@ def _drop_pool() -> None:
         _pool = None
 
 
-def _size_pool(need: int, threads: int) -> None:
-    """Keep the live pool when it has at least need and at most threads
-    workers; otherwise shut it down and start one of need workers."""
-    global _pool, _pool_size
-    if not need <= _pool_size <= threads:
-        _drop_pool()
-        _pool, _pool_size = ProcessPoolExecutor(max_workers=need), need
-
-
-def _failed(exc: BaseException) -> None:
-    """A dead worker or an interrupt drops the pool, so the next call
-    starts afresh; a chunk's own error leaves it as it is."""
-    if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
-        _drop_pool()
-
-
 def _spans(n: int) -> list[tuple[int, int]]:
     return [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
 
 
-def _submit(worker, common, n: int) -> list[Future]:
-    """Hand each chunk of replicas 0..n-1 to the pool, in chunk order."""
-    return [_pool.submit(worker, common + span) for span in _spans(n)]
+def _submit(keys, threads: int) -> None:
+    """Hand the pool the chunks of each call in keys, a (worker, common, n)
+    for each, in call order, and list each call's futures in _ahead.
+
+    The largest call needs min(threads, chunks) workers: the live pool is
+    kept when it has at least that many and at most threads; otherwise
+    it is shut down and one of that size starts.
+    """
+    global _pool, _pool_size
+    need = min(threads, max(len(_spans(n)) for _, _, n in keys))
+    if not need <= _pool_size <= threads:
+        _drop_pool()
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=need), need
+    for worker, common, n in keys:
+        _ahead.append(((worker, common, n), [_pool.submit(worker, common + span) for span in _spans(n)]))
 
 
-def _collect(futures: list[Future]) -> list:
-    """The chunks' results concatenated in chunk order; on an error the
-    call's chunks that have not started are cancelled."""
-    out: list = []
-    try:
-        for future in futures:
-            out.extend(future.result())
-    except BaseException as exc:
+def _cancel(exc: BaseException | None = None) -> None:
+    """Cancel the listed chunks that have not started and empty _ahead.
+    A dead worker or an interrupt (exc) also drops the pool, so the next
+    call starts afresh; a chunk's own error leaves it as it is."""
+    for _, futures in _ahead:
         for future in futures:
             future.cancel()
-        _failed(exc)
-        raise
-    return out
+    _ahead.clear()
+    if isinstance(exc, BrokenProcessPool) or exc is not None and not isinstance(exc, Exception):
+        _drop_pool()
 
 
 def _run_chunks(worker, common, n: int, threads: int) -> list:
@@ -386,31 +380,28 @@ def _run_chunks(worker, common, n: int, threads: int) -> list:
 
     Chunk boundaries are fixed by _CHUNK alone and results are
     concatenated in chunk order, so the output is identical for any
-    thread count.  A pooled call needs min(threads, chunks) workers and
-    reuses the live pool when it has at least that many and at most
-    threads; otherwise the old pool is shut down before a new one of
-    that size starts.  A call that is the head of this thread's plan
-    collects the chunks the plan submitted.  A chunk's own error leaves
-    the pool as it is; a dead worker or an interrupt drops it, so the
-    next call starts afresh.
+    thread count.  A pooled call collects the head of _ahead; when that
+    head is not this call, it first cancels every listed call and
+    submits its own chunks (_submit sizes the pool).  On an error the
+    listed chunks are cancelled (_cancel).
     """
-    spans = _spans(n)
+    spans, out = _spans(n), []
     if threads <= 0 or len(spans) == 1:
-        out: list = []
         for span in spans:
             out.extend(worker(common + span))
         return out
     with _pool_lock:
-        plan = getattr(_local, "plan", None)
-        if plan and plan[0][0] == (worker, common, n):
-            return _collect(plan.pop(0)[1])
         try:
-            _size_pool(min(threads, len(spans)), threads)
-            futures = _submit(worker, common, n)
+            if not _ahead or _ahead[0][0] != (worker, common, n):
+                _cancel()
+                _submit([(worker, common, n)], threads)
+            for future in _ahead[0][1]:
+                out.extend(future.result())
         except BaseException as exc:
-            _failed(exc)
+            _cancel(exc)
             raise
-        return _collect(futures)
+        del _ahead[0]
+        return out
 
 
 @contextmanager
@@ -421,14 +412,12 @@ def _planned(calls, threads: int):
 
     calls lists the calls in the order they will be made, each as the
     (worker, common, n) its _run_chunks receives, with phi_of_T at
-    common[2].  The pool is sized once for the largest call, and the
-    chunks of each call with more than one chunk are submitted in call
-    order.  Planning never raises: it stops before the first call that
-    fails _check_estimate, which raises in its own turn, and at a pool
-    that refuses work.  The plan holds the pool lock for its life, so no
-    other thread resizes or drops the pool under it; on exit it cancels
-    the chunks no call collected, and a dead worker or an interrupt
-    drops the pool.
+    common[2].  The chunks of each call with more than one chunk are
+    submitted in call order (_submit).  Planning never raises: it stops
+    before the first call that fails _check_estimate, which raises in
+    its own turn, and at a pool that refuses work.  The plan holds the
+    pool lock for its life, so no other thread resizes or drops the pool
+    under it; on exit it cancels the chunks no call collected (_cancel).
     """
     keys = []
     for worker, common, n in calls:
@@ -442,24 +431,16 @@ def _planned(calls, threads: int):
         yield
         return
     with _pool_lock:
-        plan = _local.plan = []
         try:
-            _size_pool(min(threads, max(len(_spans(n)) for _, _, n in keys)), threads)
-            for key in keys:
-                try:
-                    plan.append((key, _submit(*key)))
-                except RuntimeError:  # a broken or shut-down pool
-                    break
+            try:
+                _submit(keys, threads)
+            except RuntimeError:  # a broken or shut-down pool
+                pass
             yield
         except BaseException as exc:
-            _failed(exc)
+            _cancel(exc)
             raise
-        finally:
-            if getattr(_local, "plan", None) is plan:  # not in a forked child
-                for _, futures in plan:
-                    for future in futures:
-                        future.cancel()
-                _local.plan = None
+        _cancel()
 
 
 def _estimate_from_logw(logw: list[float]) -> Estimate:

@@ -719,7 +719,10 @@ def test_planned_consistency_check_keeps_its_bytes(no_pool, monkeypatch, event):
     # point; each planned call is submitted once, by the plan
     submitted = []
     submit = weights._submit
-    monkeypatch.setattr(weights, "_submit", lambda *key: submitted.append(key[2]) or submit(*key))
+    monkeypatch.setattr(
+        weights, "_submit",
+        lambda keys, threads: submitted.extend(n for _, _, n in keys) or submit(keys, threads),
+    )
     cfg = config_dict(
         scaling={"family": "exponential", "k": 1.0},
         t_grid=[1.0, 1.5, 2.0],
@@ -738,7 +741,7 @@ def test_planned_consistency_check_keeps_its_bytes(no_pool, monkeypatch, event):
         want = want or out
         assert out == want
         assert submitted == ([] if threads == 0 else [8192] * calls + [8193] * calls)
-        assert getattr(weights._local, "plan", None) is None
+        assert weights._ahead == []
 
 
 def test_a_later_table_error_is_the_serial_one(no_pool):
@@ -757,7 +760,7 @@ def test_a_later_table_error_is_the_serial_one(no_pool):
             run_consistency_check(ExperimentConfig.from_dict(dict(cfg, threads=threads)))
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
-    assert getattr(weights._local, "plan", None) is None
+    assert weights._ahead == []
     pool = weights._pool
     assert pool is not None
     window = weights.EventSpec.terminal_window(0.0, 0.5)
@@ -782,4 +785,4 @@ def test_a_later_overflowing_phi_is_refused_as_in_serial(no_pool):
                 run_consistency_check(ExperimentConfig.from_dict(dict(cfg, threads=threads)))
         errors.append(str(caught.value))
     assert errors[0] == errors[1] == "phi_of_T must be positive, got inf"
-    assert getattr(weights._local, "plan", None) is None
+    assert weights._ahead == []

@@ -319,6 +319,29 @@ def test_estimator_determinism_and_chunk_independence():
     assert other_seed != serial
 
 
+LONG_CHAIN = RateModel(kind="canonical", P=2.0, Q=1.0, l=0.5)
+
+
+@pytest.mark.parametrize("chunk", [333, 1000, 10000])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # replica r draws from (seed, r) whichever chunk holds it; the chain
+    # at T = 10 makes about 60 jumps a replica
+    ramp = EventSpec.neighborhood(PiecewiseFunction.linear((0.0, 1.0), (0.0, 0.3)), 0.5)
+
+    def results():
+        return (
+            importance_estimate(UNIT, 1.0, 2.0, EventSpec.terminal_window(0.0, 0.5), 10500, 41),
+            direct_estimate(LONG_CHAIN, 10.0, 10.0, ramp, 4500, 43),
+            direct_estimate(LONG_CHAIN, 10.0, 10.0, EventSpec.level_cross(0.8), 4500, 47),
+            terminal_states(UNIT, 1.0, 10500, 53),
+        )
+
+    want = results()
+    monkeypatch.setattr(weights, "_CHUNK", chunk)
+    assert results() == want
+    assert all(est.n_hits > 0 for est in want[:3])
+
+
 class CountingPool:
     """Stands in for the process pool: records its size and its shutdowns,
     runs each submitted chunk in-process."""
@@ -455,15 +478,15 @@ def test_a_plan_belongs_to_its_thread(no_pool):
     got = []
     other = threading.Thread(target=lambda: got.append(importance_estimate(*PLANNED, threads=2)))
     with weights._planned([PLAN_KEY], 2):
-        plan = list(weights._local.plan)
+        plan = list(weights._ahead)
         other.start()
         other.join(timeout=0.5)  # it waits for the pool the plan holds
-        assert weights._local.plan == plan and len(plan) == 1
+        assert weights._ahead == plan and len(plan) == 1
         assert importance_estimate(*PLANNED, threads=2) == want
-        assert weights._local.plan == []
+        assert weights._ahead == []
     other.join(timeout=60.0)
     assert not other.is_alive() and got == [want]
-    assert getattr(weights._local, "plan", None) is None
+    assert weights._ahead == []
 
 
 def test_a_child_forked_under_a_plan_starts_without_it(no_pool):
@@ -471,16 +494,33 @@ def test_a_child_forked_under_a_plan_starts_without_it(no_pool):
     with weights._planned([PLAN_KEY], 2):
         pid = os.fork()
         if pid == 0:  # the child: exit status 0 only if all went as it should
-            ok = getattr(weights._local, "plan", None) is None and weights._pool is None
+            ok = weights._ahead == [] and weights._pool is None
             try:
                 ok = ok and importance_estimate(*PLANNED, threads=2) == want
                 weights._drop_pool()
             finally:
                 os._exit(0 if ok else 1)
         assert _exit_code(pid) == 0
-        assert len(weights._local.plan) == 1
+        assert len(weights._ahead) == 1
         assert importance_estimate(*PLANNED, threads=2) == want
-        assert weights._local.plan == []
+        assert weights._ahead == []
+
+
+def test_a_call_that_is_not_the_plans_head_submits_its_own(no_pool):
+    want = importance_estimate(*PLANNED, threads=0)
+    other = (UNIT, 1.0, 2.0, WINDOW, 8192, 4)
+    other_want = importance_estimate(*other, threads=0)
+    with weights._planned([PLAN_KEY], 2):
+        assert importance_estimate(*other, threads=2) == other_want
+        assert weights._ahead == []
+        assert importance_estimate(*PLANNED, threads=2) == want
+        assert weights._ahead == []
+
+
+def test_a_plan_cancels_the_calls_never_made(no_pool):
+    with weights._planned([PLAN_KEY], 2):
+        assert len(weights._ahead) == 1
+    assert weights._ahead == []
 
 
 def test_agreement_z_conventions():
