@@ -12,7 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,12 +451,15 @@ def _check_chain(model: RateModel, T: float) -> None:
         )
 
 
-def _state_rates(model: RateModel, x: int) -> tuple[float, float]:
-    """(eta, p_up) of the chain at state x: eta(x) and lambda(x)/eta(x)."""
+def _state_row(model: RateModel, x: int) -> tuple[float, float, float, float]:
+    """(eta, p_up, ln lambda, ln mu) of the chain at state x: eta(x),
+    lambda(x)/eta(x) and the logs of the two jump rates, with ln 0 = -inf
+    for the dead jump of functional_B."""
     lam = birth_rate(model, x)
-    eta = lam + death_rate(model, x)
+    mu = death_rate(model, x)
+    eta = lam + mu
     # u < lam/eta is exact at x=0: lam/eta == 1.0 and u < 1 always
-    return eta, lam / eta
+    return eta, lam / eta, math.log(lam), math.log(mu) if mu else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +515,26 @@ class _Lanes:
 
 
 class _StateTable:
-    """Per-state rows of doubles, row(model, x), as numpy columns.
+    """The chain's per-state doubles, _state_row(model, x), as numpy columns.
 
-    upto(top) gives the columns for at least states 0..top.  They double
-    whenever a state past their end is asked for (up to a table's end),
-    so the rebuilds cost amortised O(1) per state.  A state the model
-    cannot serve raises when it is first asked for.
+    upto(top) gives the (eta, p_up, ln lambda, ln mu) columns for at least
+    states 0..top.  They double whenever a state past their end is asked
+    for (up to a table's end), so the rebuilds cost amortised O(1) per
+    state.  A state the model cannot serve raises when it is first asked
+    for.
+
+    Called as rates_at(top), it gives the walk's (eta, p_up) columns for
+    states 0..top.  States past a table's end read eta = inf and p_up =
+    1/2, so a walk may step a lane there speculatively; refuse(x) raises
+    the model's error for such a state, which the walk calls when a lane
+    really enters it.
     """
 
-    def __init__(self, model: RateModel, row: Callable[[RateModel, int], tuple]) -> None:
+    def __init__(self, model: RateModel) -> None:
         self._model = model
-        self._row = row
         self._rows: list[tuple] = []
         self._columns: tuple[np.ndarray, ...] = ()
+        self._padded: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
     def upto(self, top: int) -> tuple[np.ndarray, ...]:
         rows, model = self._rows, self._model
@@ -535,28 +545,14 @@ class _StateTable:
             # rows are built in state order, so past a table's end the state
             # that raises is the one just outside it, where a walk from 0 leaves
             for s in range(len(rows), max(size, top + 1)):
-                rows.append(self._row(model, s))
+                rows.append(_state_row(model, s))
             self._columns = tuple(np.array(rows).T.copy())
         return self._columns
-
-
-class _ChainRates(_StateTable):
-    """rates_at of the chain: (eta, p_up) columns for states 0..top.
-
-    Per-state (eta, p_up) are the doubles _state_rates computes.  States
-    past a table's end read eta = inf and p_up = 1/2, so a walk may step
-    a lane there speculatively; refuse(x) raises the model's error for
-    such a state, which the walk calls when a lane really enters it.
-    """
-
-    def __init__(self, model: RateModel) -> None:
-        super().__init__(model, _state_rates)
-        self._padded: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
     def __call__(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         if top >= len(self._padded[0]):
             table = self._model.table
-            eta, p_up = self.upto(top if table is None else min(top, len(table) - 1))
+            eta, p_up = self.upto(top if table is None else min(top, len(table) - 1))[:2]
             if len(eta) <= top:
                 past = max(top + 1, 2 * len(eta)) - len(eta)
                 eta = np.concatenate((eta, np.full(past, math.inf)))
@@ -566,7 +562,7 @@ class _ChainRates(_StateTable):
 
     def refuse(self, x: int) -> None:
         """Raise the model's error for x, a state past the table's end."""
-        _state_rates(self._model, x)
+        _state_row(self._model, x)
 
 
 def _zeta_rates(top):
@@ -765,7 +761,7 @@ def _xi_lanes(model: RateModel, T: float, seed: int, start: int, stop: int,
     lanes at a time (see _lane_blocks)."""
     states = _replica_states(seed, start, stop)
     _check_chain(model, T)
-    return _lane_blocks(states, T, _ChainRates(model), keep_paths, False)
+    return _lane_blocks(states, T, _StateTable(model), keep_paths, False)
 
 
 def _zeta_lanes(T: float, seed: int, start: int, stop: int) -> Iterator[_Lanes]:
@@ -799,7 +795,7 @@ def simulate_xi(model: RateModel, T: float, stream: RngStream) -> Trajectory:
     the lane walk the estimators run.
     """
     _check_chain(model, T)
-    return _one_path(stream, T, _ChainRates(model))
+    return _one_path(stream, T, _StateTable(model))
 
 
 def simulate_zeta(T: float, stream: RngStream) -> Trajectory:

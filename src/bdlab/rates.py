@@ -140,18 +140,18 @@ def _check_nonnegative(f: PiecewiseFunction) -> None:
         raise PreconditionError("profile must be nonnegative")
 
 
-def rate_sub(f: PiecewiseFunction, Q: float, check_domain: bool = True) -> float:
+def rate_sub(f: PiecewiseFunction, Q: float) -> float:
     """Subexponential-regime rate: Q * integral of f.
 
     The formula is stated for profiles with f(0) = 0 and f > 0 on
-    (0, 1]; when check_domain is set, profiles outside that class get a
-    warning but the value is still returned (the formula extends
-    naturally and the scans compare against it on step profiles).
+    (0, 1]; profiles outside that class get a warning but the value is
+    still returned (the formula extends naturally and the scans compare
+    against it on step profiles).
     """
     if not Q > 0:
         raise PreconditionError(f"Q must be positive, got {Q}")
     _check_nonnegative(f)
-    if check_domain and not _in_sub_domain(f):
+    if not _in_sub_domain(f):
         warnings.warn(
             "profile leaves the nominal domain (f(0) = 0 and f > 0 on (0, 1]); "
             "value returned anyway",

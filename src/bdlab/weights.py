@@ -235,14 +235,6 @@ def log_density(model: RateModel, traj: Trajectory) -> float:
     )
 
 
-def _density_row(model: RateModel, x: int) -> tuple[float, float, float]:
-    """(eta, ln lambda, ln mu) at state x: the doubles of log_density's
-    terms there, with ln 0 = -inf for the dead jump of functional_B."""
-    eta = total_rate(model, x)
-    mu = death_rate(model, x)
-    return eta, math.log(birth_rate(model, x)), math.log(mu) if mu else _NEG_INF
-
-
 def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: float) -> list[float]:
     """log_density of each hit lane's path, bit for bit, and -inf for
     every other lane of a reference-walk block.
@@ -251,8 +243,8 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
     jumps to its tail (T, final).  Each entry after the head has an A
     term: eta(x) times the time since the entry before, x the state of
     that entry.  Each jump has a B term: ln lambda(x), or ln mu(x) when
-    its state is not above x.  eta, ln lambda and ln mu come from rates
-    (a _StateTable of _density_row).  These are the doubles
+    its state is not above x.  eta, ln lambda and ln mu are columns 0, 2
+    and 3 of rates, the chunk's _StateTable.  These are the doubles
     functional_A and functional_B add, and math.fsum is correctly
     rounded, so a lane's sums do not depend on the order of its terms.
     Rates are looked up only up to the hit lanes' peak, so a table model
@@ -264,7 +256,7 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
         return out.tolist()
     entry = np.repeat(hits, lanes.jumps + 2)
     t, x = lanes.times[entry], lanes.states[entry]
-    eta, ln_up, ln_down = rates.upto(int(lanes.peak[hits].max()))
+    eta, _, ln_up, ln_down = rates.upto(int(lanes.peak[hits].max()))
     # one term per pair of adjacent entries; a lane at entries lo..hi-1 sums
     # a[lo:hi-1] and b[lo:hi-2] (its tail has no B term), so a pair from a
     # tail to the next lane's head is never summed
@@ -287,7 +279,7 @@ def _lane_log_weights(rates: _StateTable, lanes: _Lanes, hits: np.ndarray, T: fl
 def _importance_chunk(args) -> list[float]:
     """Log weights for one contiguous block of importance replicas."""
     model, T, phi_of_T, event, seed, start, stop = args
-    rates = _StateTable(model, _density_row)
+    rates = _StateTable(model)
     out: list[float] = []
     for lanes in _zeta_lanes(T, seed, start, stop):
         out.extend(_lane_log_weights(rates, lanes, event._lane_hits(lanes, T, phi_of_T), T))

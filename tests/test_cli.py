@@ -331,3 +331,12 @@ def test_shipped_commands_keep_their_bytes(command):
         hashlib.sha256(emit_results(table, fmt).encode()).hexdigest() for fmt in ("csv", "json")
     )
     assert digests == SHIPPED_OUTPUTS[command]
+
+
+def test_shipped_output_script_runs_the_shipped_commands():
+    """scripts/shipped_outputs.sh runs the commands whose digests are
+    pinned above, in their order, named by their test ids."""
+    script = (ROOT / "scripts" / "shipped_outputs.sh").read_text()
+    lines = script.split("<<'COMMANDS'\n", 1)[1].split("\nCOMMANDS\n", 1)[0].splitlines()
+    assert len(lines) == 8
+    assert lines == [f"{_shipped_id(c)} {c}" for c in SHIPPED_OUTPUTS]

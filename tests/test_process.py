@@ -17,13 +17,12 @@ from bdlab.process import (
     _BLOCK,
     _COLUMNS,
     _FIRST_COLUMNS,
-    _ChainRates,
     _lane_blocks,
     _replica_states,
     _running_sum,
+    _StateTable,
     _xi_lanes,
     _zeta_lanes,
-    _state_rates,
     _walk_lanes,
     _zeta_rates,
     RateModel,
@@ -535,7 +534,7 @@ def _assert_draw_calls_match(n, T, model, seed):
     assert any(("uni", _BLOCK) in log for log in want)
     for columns in GROUP_WIDTHS:
         logs = [[] for _ in range(n)]
-        rates = _zeta_rates if model is None else _ChainRates(model)
+        rates = _zeta_rates if model is None else _StateTable(model)
         _walk_lanes([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)],
                     T, rates, True, False, columns)
         assert logs == want, columns
@@ -644,7 +643,7 @@ def test_jump_kernel_redraws_like_the_reference(exps, T):
     make = lambda i: _FixedGen(exps, [0.25, 0.5, 0.75, 0.1], math.inf)  # noqa: E731
     for model in (UNIT, KERNEL_TABLE, None):
         assert _assert_lanes_match_reference(make, 1, T, model) >= 2
-    for rates in (_ChainRates(UNIT), _zeta_rates):
+    for rates in (_StateTable(UNIT), _zeta_rates):
         assert _walk_lanes([make(0)], T, rates, True, False).path(0)[1] == [1, -1]
 
 
@@ -701,7 +700,7 @@ def _assert_lanes_match_reference(make_gen, n, T, model=None, stop_below_zero=Fa
                                   columns=_FIRST_COLUMNS):
     """Walk n lanes together, and each lane alone through the reference
     loop, on equal generators."""
-    rates = _zeta_rates if model is None else _ChainRates(model)
+    rates = _zeta_rates if model is None else _StateTable(model)
     lanes = _walk_lanes([make_gen(i) for i in range(n)], T, rates, True, stop_below_zero, columns)
     jumps = 0
     for i in range(n):
@@ -754,17 +753,34 @@ def test_lanes_equal_kernel_at_thousands_of_states():
     # one state more per call: the arrays are rebuilt at 1, 2, 4, ... states,
     # and at a table's end (80 states), never past it
     for model, top, rebuilds_wanted in ((fast, 2000, 12), (KERNEL_TABLE, 79, 8)):
-        rates, rebuilds, last = _ChainRates(model), 0, None
+        rates, rebuilds, last = _StateTable(model), 0, None
         for x in range(top + 1):
             rates(x)
             eta = rates.upto(x)[0]
             rebuilds += eta is not last
             last = eta
         assert rebuilds == rebuilds_wanted
-        eta, p_up = rates(top)
-        assert list(zip(eta[:top + 1].tolist(), p_up[:top + 1].tolist())) == [
-            _state_rates(model, x) for x in range(top + 1)
+    # every column, bit for bit, against the public rate functions
+    for model, top in ((fast, 2000), (LONG, 2000), (KERNEL_TABLE, 79)):
+        rates, states = _StateTable(model), range(top + 1)
+        columns = [c[:top + 1].tolist() for c in rates.upto(top)]
+        want = [
+            [total_rate(model, x) for x in states],
+            [birth_rate(model, x) / total_rate(model, x) for x in states],
+            [math.log(birth_rate(model, x)) for x in states],
+            [math.log(death_rate(model, x)) if x else -math.inf for x in states],
         ]
+        assert [[v.hex() for v in c] for c in columns] == [[v.hex() for v in c] for c in want]
+        eta, p_up = rates(top)
+        assert eta[:top + 1].tolist() == columns[0] and p_up[:top + 1].tolist() == columns[1]
+    # past the end of KERNEL_TABLE, the last model above, upto raises and
+    # the walk's view reads inf and 1/2
+    with pytest.raises(PreconditionError, match=r"^state 80 outside rate table \(size 80\)$"):
+        rates.upto(80)
+    eta, p_up = rates(85)
+    assert len(eta) > 85
+    assert eta[80:].tolist() == [math.inf] * (len(eta) - 80)
+    assert p_up[80:].tolist() == [0.5] * (len(p_up) - 80)
 
 
 def test_lanes_raise_where_the_table_runs_out():
@@ -778,7 +794,7 @@ def test_lanes_raise_where_the_table_runs_out():
     assert 10 < len(messages) < 290
     with pytest.raises(PreconditionError) as exc:
         _walk_lanes([RngStream(71, r).generator() for r in range(300)], 4.0,
-                    _ChainRates(short), False, False)
+                    _StateTable(short), False, False)
     assert str(exc.value) == "state 4 outside rate table (size 4)"
     assert set(messages.values()) == {str(exc.value)}
     # the lanes that never leave the table walk on as the reference does
@@ -920,7 +936,7 @@ def test_lanes_ending_inside_a_table_step_past_its_edge_without_raising():
     assert 200 < len(kept) < 390
     assert messages == {"state 4 outside rate table (size 4)"}
 
-    class Asked(_ChainRates):
+    class Asked(_StateTable):
         # the highest state any group asked the rates for
         top = 0
 
@@ -937,7 +953,7 @@ def test_lanes_ending_inside_a_table_step_past_its_edge_without_raising():
             assert _lane_jumps(lanes, i) == reference_xi(short, T, make(i))
         assert lanes.peak.max() == 3 and Asked.top >= 8
         with pytest.raises(PreconditionError) as exc:
-            _walk_lanes([RngStream(73, r).generator() for r in range(400)], T, _ChainRates(short),
+            _walk_lanes([RngStream(73, r).generator() for r in range(400)], T, _StateTable(short),
                         False, False, columns)
         assert str(exc.value) == "state 4 outside rate table (size 4)"
 

@@ -128,7 +128,8 @@ def test_normalizer_rejects_phi_at_most_one_outside_sub():
 
 def test_rate_sub_examples():
     assert rate_sub(RAMP, 2.0) == 1.0
-    assert rate_sub(ZERO_LINEAR, 5.0, check_domain=False) == 0.0
+    with pytest.warns(UserWarning, match="nominal domain"):
+        assert rate_sub(ZERO_LINEAR, 5.0) == 0.0
 
 
 def test_rate_sub_warns_outside_nominal_domain():
@@ -142,7 +143,6 @@ def test_rate_sub_warns_outside_nominal_domain():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rate_sub(RAMP, 1.0)
-        rate_sub(PiecewiseFunction.constant(0.5), 1.0, check_domain=False)
 
 
 def test_rate_sub_validation():

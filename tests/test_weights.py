@@ -34,7 +34,6 @@ from bdlab.weights import (
     importance_estimate,
     log_density,
     terminal_states,
-    _density_row,
     _direct_chunk,
     _estimate_from_logw,
     _importance_chunk,
@@ -767,7 +766,7 @@ def test_block_log_density_builds_rates_only_for_hit_lanes():
     # lanes that stay nonnegative go past it, and never raise
     short = RateModel(kind="table", table=((1.0, 0.0), (1.5, 1.0), (0.5, 2.0)))
     T, seen_above = 4.0, 0
-    rates = _StateTable(short, _density_row)
+    rates = _StateTable(short)
     for lanes in _zeta_lanes(T, 3, 0, 1000):
         alive = ~lanes.below_zero
         hits = alive & (lanes.peak < 3)
