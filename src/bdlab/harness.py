@@ -553,9 +553,11 @@ def _row(T: float, p: float, psi: float, log_prob: float, predicted: float, flag
     return ResultRow(T, p, psi, log_prob, normalized, predicted, *diag, flag).astuple()
 
 
-def _verdict(check: str, ok: bool, *parts: str) -> str:
-    """A verdict flag: the parts, then check_ok or check_fail, joined by ';'."""
-    return ";".join(parts + (f"{check}_{'ok' if ok else 'fail'}",))
+def _verdict(check: str, ok: bool | None, *parts: str) -> str:
+    """A verdict flag: the parts, then check_ok, check_fail or (ok None, a
+    check that could not have failed) check_inconclusive, joined by ';'."""
+    state = "inconclusive" if ok is None else "ok" if ok else "fail"
+    return ";".join(parts + (f"{check}_{state}",))
 
 
 def run_consistency_check(config: ExperimentConfig) -> Table:
@@ -630,7 +632,8 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
     crossing probability and shares its decay rate (1 - l) * a; rows are
     exact.  An optional small-T Monte Carlo row estimates the crossing
     probability directly and records whether it dominates the exact
-    tail within 3 binomial standard errors.
+    tail within 3 binomial standard errors; when that threshold is not
+    above 0, no frequency can fail it and the row is inconclusive.
     """
     _require_exact_law(config.model, "the level-cross scan")
     scaling = _require(config, "scaling", "the level-cross scan")
@@ -657,9 +660,10 @@ def run_level_cross_scan(config: ExperimentConfig) -> Table:
         tail0 = math.exp(poisson_exact_log_tail(model.P, model.Q, T0, math.ceil(a * p0)))
         # dominance test against the known tail: the MC crossing frequency
         # may not sit more than 3 null standard errors below it
-        se0 = math.sqrt(tail0 * (1.0 - tail0) / n0)
+        threshold = tail0 - 3.0 * math.sqrt(tail0 * (1.0 - tail0) / n0)
         p_hat = math.exp(est.log_value) if est.log_value != _NEG_INF else 0.0
-        flag = _verdict("dominates_tail", p_hat >= tail0 - 3.0 * se0, "mc_sup")
+        ok = None if threshold <= 0.0 else p_hat >= threshold
+        flag = _verdict("dominates_tail", ok, "mc_sup")
         rows.append(_row(T0, p0, psi0, est.log_value, predicted, flag, est))
     return _table(config, RESULT_COLUMNS, rows)
 

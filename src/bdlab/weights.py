@@ -17,13 +17,13 @@ math.fsum so the result is independent of summation order.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from .process import (
     in_path_space,
     total_rate,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "Estimate",
@@ -305,8 +308,10 @@ def _terminal_chunk(args) -> list[int]:
 # The process pool that every pooled _run_chunks call of this process
 # shares.  It starts at the first pooled call and its workers are forked
 # then, so they see the module state of that moment; Python's own exit
-# hook for executors shuts it down when the interpreter exits.  The lock
-# is reentrant because a live plan holds it while its thread's calls run.
+# hook for executors shuts it down when the interpreter exits.  The pool's
+# modules (concurrent.futures.process, multiprocessing) are imported by
+# _submit and _cancel, so a serial run never loads them.  The lock is
+# reentrant because a live plan holds it while its thread's calls run.
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.RLock()
@@ -334,6 +339,12 @@ def _drop_pool() -> None:
         _pool = None
 
 
+# The pool's modules are imported after this one, so at exit they are
+# torn down first; a pool still held here then would be collected after
+# them and its manager's callback would fail.  Drop it before teardown.
+atexit.register(_drop_pool)
+
+
 def _spans(n: int) -> list[tuple[int, int]]:
     return [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
 
@@ -347,6 +358,8 @@ def _submit(keys, threads: int) -> None:
     it is shut down and one of that size starts.
     """
     global _pool, _pool_size
+    from concurrent.futures import ProcessPoolExecutor
+
     need = min(threads, max(len(_spans(n)) for _, _, n in keys))
     if not need <= _pool_size <= threads:
         _drop_pool()
@@ -363,8 +376,11 @@ def _cancel(exc: BaseException | None = None) -> None:
         for future in futures:
             future.cancel()
     _ahead.clear()
-    if isinstance(exc, BrokenProcessPool) or exc is not None and not isinstance(exc, Exception):
-        _drop_pool()
+    if exc is not None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
+            _drop_pool()
 
 
 def _run_chunks(worker, common, n: int, threads: int) -> list:

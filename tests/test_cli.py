@@ -305,8 +305,8 @@ SHIPPED_OUTPUTS = {
         "428532bb4bea7da17fa123d5bc69d486d51ca5f71cb9d59f0bb9ddb8cbaf7dfd",
     ),
     "level-cross-scan --config configs/level_cross.json": (
-        "7a8bdaf27127724148708ab1154d6aa29e7a61840eb536ea7a5aae3673545ccb",
-        "f01b011799dedf68f2366f2f347e288674ad10a77124057fb5e68ea73e58e94d",
+        "be2cb54428725222dbfc3112980233f3beb323d0f6352be9fb8f1073a757b546",
+        "8dc0cd0d377c2569f63569bad2839f5eef05b3934707e7ef15a5386fbbc1c9a8",
     ),
     "rate-eval --config configs/rate_eval_exp.json --profile configs/ramp_profile.json": (
         "03b5474a84cd982776a3c141f1ab89639b50b64d8168309a1c28b6ac60ee3fda",

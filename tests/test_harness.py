@@ -506,6 +506,16 @@ def test_level_cross_scan_mc_dominance_row():
     assert mc[6] > 0.0  # a Monte Carlo row carries a standard error
 
 
+def test_level_cross_scan_mc_row_without_power_is_inconclusive():
+    """The shipped config's check point (T = 3, n = 1e5) has tail 6.0e-9
+    and 3 null standard errors of 7.3e-7, so its threshold is below 0: no
+    crossing frequency, not even 0 hits, could fail it."""
+    cfg = ExperimentConfig.load(str(CONFIG_DIR / "level_cross.json"))
+    mc = run_level_cross_scan(cfg).rows[-1]
+    assert (mc[0], mc[7]) == (3.0, 0)
+    assert mc[-1] == "mc_sup;dominates_tail_inconclusive"
+
+
 def test_consistency_check_fail_flags(monkeypatch):
     monkeypatch.setattr(harness, "agreement_z", lambda e1, e2: 5.0)
     fake = Estimate(-1.0, 0.1, 100, 50)

@@ -365,7 +365,7 @@ class CountingPool:
 def _counting_pools(monkeypatch):
     started, stopped = [], []
     monkeypatch.setattr(
-        "bdlab.weights.ProcessPoolExecutor",
+        "concurrent.futures.ProcessPoolExecutor",
         lambda max_workers: CountingPool(max_workers, started, stopped),
     )
     return started, stopped
