@@ -203,9 +203,10 @@ class RngStream:
     function: identical pairs reproduce identical draws bit for bit, and
     distinct replica indices give statistically independent streams.
     The lane walk behind the estimators, simulate_xi and simulate_zeta
-    builds no generator per replica: it re-keys a per-thread slot
-    generator to exactly the PCG64 state that generator() starts from
-    (see _pcg64_states and _Slots; new slots check this against numpy).
+    builds no generator per replica: it keys a per-thread slot to exactly
+    the PCG64 state that generator() starts from, and fills its draw rows
+    through numpy's own C fill loops (see _pcg64_states and _Bank; new
+    slots check their draws against numpy's Generator).
     """
 
     seed: int
@@ -342,90 +343,101 @@ def _pcg64_states(words: np.ndarray) -> np.ndarray:
     return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1)
 
 
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.restype = ctypes.c_void_p
-_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+# numpy's C loops behind Generator.standard_exponential and Generator.random
+# for float64 (distributions.c), each called as fill(bitgen_t *, count, double *)
+_FILLS = ("random_standard_exponential_fill", "random_standard_uniform_fill")
+_COUNT = ctypes.c_ssize_t(_BLOCK)  # passes as is; an int would be converted every call
 
 
-def _state_key(gen: np.random.Generator) -> memoryview:
-    """A writable byte view of gen's PCG64 state and increment.
-
-    bit_generator.capsule holds numpy's bitgen_t, whose first field
-    points at the pcg64_state, whose first field in turn points at the
-    32 bytes of the 128-bit state and inc.  Read through the capsule, a
-    slot keeps no bit_generator.ctypes interface alive (about 1 KB each).
-    """
-    bitgen = _capsule_pointer(gen.bit_generator.capsule, b"BitGenerator")
-    pcg64 = ctypes.c_void_p.from_address(bitgen).value
-    state = ctypes.c_void_p.from_address(pcg64).value
-    return memoryview((ctypes.c_uint64 * 4).from_address(state)).cast("B")
-
-
-def _rekey(keys: list[memoryview], states: np.ndarray) -> None:
-    """Write row i of states (a C-contiguous (n, 4) uint64 array) through keys[i]."""
-    src = memoryview(states).cast("B")
-    for key, at in zip(keys, range(0, 32 * len(states), 32)):
-        key[:] = src[at:at + 32]
+def _check_bank(bank: _Bank, old: int) -> None:
+    """Raise unless each slot i from old on, keyed to SeedSequence(i)'s
+    state and then to its neighbour's, fills through the C loops the _BLOCK
+    exponentials and uniforms that Generator(PCG64) draws from that seed."""
+    seeds = [np.random.SeedSequence(i) for i in range(old, len(bank.slots))]
+    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    want = np.array([(gen.standard_exponential(_BLOCK), gen.random(_BLOCK)) for gen in gens])
+    states = _pcg64_states(np.array([seed.generate_state(4, np.uint64) for seed in seeds]))
+    for shift in (0, 1):
+        bank.keyed(np.concatenate((bank.slots[:old, 8:], np.roll(states, -shift, axis=0))))
+        bank.fill_exps(range(old, bank.n))
+        bank.fill_unis(range(old, bank.n))
+        if not np.array_equal(np.stack((bank.exps[old:], bank.unis[old:]), axis=1),
+                              np.roll(want, -shift, axis=0)):
+            raise RuntimeError(f"numpy {np.__version__}: a slot built on PCG64's bitgen_t does "
+                               "not draw what Generator(PCG64) draws from the same state")
 
 
-def _check_slots(gens: list, keys: list[memoryview], states: np.ndarray) -> None:
-    """Raise unless each new slot, seeded the public way, reads back the
-    state derived from its words through its key, and unless a slot
-    re-keyed to its neighbour's state draws the neighbour's first
-    exponential and uniform."""
-    read = np.array([np.frombuffer(key, dtype=np.uint64) for key in keys])
-    if np.array_equal(read, states):
-        first = [(gen.standard_exponential(), gen.random()) for gen in gens]
-        _rekey(keys, np.roll(states, -1, axis=0))
-        if [(gen.standard_exponential(), gen.random()) for gen in gens] == first[1:] + first[:1]:
-            return
-    raise RuntimeError(
-        f"numpy {np.__version__}: a PCG64 state read through bit_generator."
-        "capsule is not the one SeedSequence seeds, so lane generators "
-        "cannot be re-keyed"
-    )
+class _Bank(threading.local):
+    """This thread's lane slots: a uint64 row per lane, from which numpy's
+    C fill loops draw as a Generator(PCG64) on the row's state would.
 
-
-class _Slots(threading.local):
-    """This thread's lane slots: generators that every block re-keys in
-    place, so no replica builds its own.
-
-    Slot i is a Generator(PCG64) and the _state_key view of its state.
-    Slots are made when a block first needs that many, and are checked
-    by _check_slots before any use.  Each thread has its own, and a
-    block's re-key overwrites whatever state a raised walk left behind.
+    A row is 12 words: a bitgen_t (a pointer to word 5, then the 4
+    function pointers of a PCG64's bitgen_t), a pcg64_state (a pointer to
+    word 8, then has_uint32 = 0), a pad, and in words 8-11 the 128-bit
+    state and inc as _pcg64_states rows give them, 16-byte aligned as a
+    128-bit integer is.  keyed(states) writes words 8-11 of the first
+    n = len(states) rows in one assignment.  exps and unis are the reused
+    rows a walk fills before it reads them: fill_exps(lanes) and
+    fill_unis(lanes) fill row i from slot i, for each lane i, with the
+    _BLOCK draws of Generator.standard_exponential(out=row) and
+    Generator.random(out=row).  The bank grows when a block first needs
+    more slots, which pass _check_bank before any use.  Each thread has
+    its own; a block's re-key overwrites what a raised walk left behind.
     """
 
     def __init__(self) -> None:
-        self.gens: list[np.random.Generator] = []
-        self.keys: list[memoryview] = []
+        self.n = 0
+        self.slots = np.zeros((0, 12), dtype=np.uint64)
         self.exps = self.unis = np.empty((0, _BLOCK))
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (n, _BLOCK) rows of exponentials and uniforms, which
-        a walk fills before it reads them.  Reused: allocated per block, in
-        pooled workers they went back to the system and faulted in again."""
-        if n > len(self.exps):
-            self.exps, self.unis = np.empty((n, _BLOCK)), np.empty((n, _BLOCK))
-        return self.exps[:n], self.unis[:n]
+    def keyed(self, states: np.ndarray) -> _Bank:
+        """This bank, its first len(states) slots keyed to the rows of states."""
+        if len(states) > len(self.slots):
+            try:
+                self._grow(len(states))
+            except BaseException:  # keep no slot that failed its check
+                self.__init__()
+                raise
+        self.n = len(states)
+        self.slots[:self.n, 8:12] = states
+        return self
 
-    def keyed(self, states: np.ndarray) -> list[np.random.Generator]:
-        """The first len(states) slot generators, each re-keyed to its
-        row of states (_pcg64_states rows, C-contiguous)."""
-        n = len(states)
-        if n > len(self.gens):
-            seeds = [np.random.SeedSequence(i) for i in range(len(self.gens), n)]
-            gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-            keys = [_state_key(gen) for gen in gens]
-            _check_slots(gens, keys, _pcg64_states(
-                np.array([seed.generate_state(4, np.uint64) for seed in seeds])))
-            self.gens += gens
-            self.keys += keys
-        _rekey(self.keys, states)
-        return self.gens[:n]
+    def fill_exps(self, lanes) -> None:
+        fill, at, rows = self._fill_exps, self._at, self._exp_at
+        for i in lanes:
+            fill(at[i], _COUNT, rows[i])
+
+    def fill_unis(self, lanes) -> None:
+        fill, at, rows = self._fill_unis, self._at, self._uni_at
+        for i in lanes:
+            fill(at[i], _COUNT, rows[i])
+
+    def _grow(self, n: int) -> None:
+        from numpy.random import _generator
+
+        lib = ctypes.PyDLL(_generator.__file__)
+        try:
+            fills = [getattr(lib, name) for name in _FILLS]
+        except AttributeError as exc:
+            raise RuntimeError(f"numpy {np.__version__}: {exc}") from None
+        for fill in fills:
+            fill.argtypes, fill.restype = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p), None
+        self._fill_exps, self._fill_unis = fills
+        old, raw = len(self.slots), np.zeros(12 * n + 1, dtype=np.uint64)
+        skip = raw.ctypes.data % 16 // 8  # start the rows on a 16-byte boundary
+        self.slots = raw[skip:skip + 12 * n].reshape(n, 12)
+        at = np.arange(n, dtype=np.uint64) * np.uint64(96) + np.uint64(self.slots.ctypes.data)
+        self.slots[:, 0], self.slots[:, 5] = at + np.uint64(40), at + np.uint64(64)
+        template = np.random.PCG64(0)  # kept alive while its function pointers are read
+        pointers = (ctypes.c_uint64 * 4).from_address(template.ctypes.bit_generator.value + 8)
+        self.slots[:, 1:5] = list(pointers)
+        self.exps, self.unis, self._at = np.empty((n, _BLOCK)), np.empty((n, _BLOCK)), at.tolist()
+        self._exp_at, self._uni_at = (list(range(rows.ctypes.data, rows.ctypes.data + rows.nbytes,
+                                                 8 * _BLOCK)) for rows in (self.exps, self.unis))
+        _check_bank(self, old)
 
 
-_slots = _Slots()
+_bank = _Bank()
 
 
 def _unvalidated(cls: type, **fields):
@@ -585,23 +597,25 @@ def _running_sum(times: np.ndarray, dt: np.ndarray) -> None:
 _ROWS = np.arange(_BLOCK)[:, None]
 
 
-def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zero: bool,
+def _walk_lanes(bank: _Bank, T: float, rates_at, keep_paths: bool, stop_below_zero: bool,
                 columns: int = _FIRST_COLUMNS) -> _Lanes:
-    """Event-driven paths from state 0 on [0, T], one lane per generator
-    of gens, advanced together a group of jump columns at a time.
+    """Event-driven paths from state 0 on [0, T], one lane per slot of
+    bank (a keyed _Bank, or any object with its n, exps, unis, fill_exps
+    and fill_unis), advanced together a group of jump columns at a time.
 
     rates_at(top) gives (eta, p_up) for states 0..top, as arrays indexed
     by state or as scalars.  A lane's holding time at x is exponential
     with rate eta, t += dt / eta, and its jump is up iff a uniform draw
     is below p_up.  A draw dt that does not move t forward in floating
     point (a zero draw among them) is drawn again, so jump times stay
-    strictly increasing.  Lane i draws from gens[i] alone, filling rows
-    in place with out=: a row of _BLOCK exponentials at the start and
-    whenever its row runs out, and a row of _BLOCK uniforms at its first
-    jump and then every _BLOCK jumps.  A lane retires when its next jump
-    time reaches T, or, with stop_below_zero, at its first negative
-    state (after one more holding time, which draws only from its own
-    generator).
+    strictly increasing.  Lane i draws from slot i alone, into row i of
+    bank.exps and bank.unis: a row of _BLOCK exponentials at the start
+    and whenever its row runs out, and a row of _BLOCK uniforms at its
+    first jump and then every _BLOCK jumps; the lanes due for a row are
+    passed to bank.fill_exps or bank.fill_unis as one list.  A lane
+    retires when its next jump time reaches T, or, with stop_below_zero,
+    at its first negative state (after one more holding time, which
+    draws only from its own slot).
 
     Every running lane has made the same k jumps and drawn its holding
     time for jump k.  A group of c = max(columns, k) columns (at most
@@ -620,11 +634,9 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
     lane really enters it.  Lanes that ended leave the arrays after
     their group.
     """
-    n = len(gens)
-    exps, unis = _slots.rows(n)
-    for gen, row in zip(gens, exps):
-        gen.standard_exponential(out=row)
-    flat_exps = exps.reshape(-1)
+    n = bank.n
+    bank.fill_exps(range(n))
+    flat_exps = bank.exps.reshape(-1)
     out = _Lanes(n)
     groups = []
     lane = np.arange(n)
@@ -667,7 +679,7 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
                     nxt = now
                     while not nxt > now:
                         if pos == end:
-                            gens[lane[j]].standard_exponential(out=exps[lane[j]])
+                            bank.fill_exps((int(lane[j]),))
                             pos = base[j]
                         nxt = now + flat_exps[pos] / at
                         pos += 1
@@ -709,16 +721,15 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
         # the next group: jumps k..k+c-1 and the holding times after them
         col = k % _BLOCK
         if col == 0:
-            for i in lane.tolist():
-                gens[i].random(out=unis[i])
+            bank.fill_unis(lane.tolist())
         if most == _BLOCK:
-            for j in np.flatnonzero(epos == base + _BLOCK).tolist():
-                gens[lane[j]].standard_exponential(out=exps[lane[j]])
-                epos[j] = base[j]
+            full = np.flatnonzero(epos == base + _BLOCK)
+            bank.fill_exps(lane[full].tolist())
+            epos[full] = base[full]
             most = int((epos - base).max())
         c = min(_COLUMNS, max(columns, k), _BLOCK - col, _BLOCK - most)
         eta, p_up = rates_at(k + c)
-        u = np.ascontiguousarray(unis[lane, col:col + c].T)
+        u = np.ascontiguousarray(bank.unis[lane, col:col + c].T)
         counts = np.empty((c, t.size), dtype=np.int64)
         if not isinstance(p_up, float) and doubled_of is not p_up:
             # doubled[len(p_up) - kk::2][ups] is p_up at state 2*ups - kk
@@ -735,8 +746,8 @@ def _walk_lanes(gens: list, T: float, rates_at, keep_paths: bool, stop_below_zer
 def _lane_blocks(states: np.ndarray, T: float, rates_at, keep_paths: bool,
                  stop_below_zero: bool) -> Iterator[_Lanes]:
     """_walk_lanes over blocks of replicas, lane i of a block on this
-    thread's slot generator i re-keyed to its replica's row of states
-    (as _replica_states gives them).
+    thread's slot i re-keyed to its replica's row of states (as
+    _replica_states gives them).
 
     Blocks are _LANES wide and start with groups of _FIRST_COLUMNS jump
     columns; after the first block whose longest lane made more than
@@ -749,7 +760,7 @@ def _lane_blocks(states: np.ndarray, T: float, rates_at, keep_paths: bool,
     while lo < len(states):
         block = states[lo:lo + width]
         lo += width
-        lanes = _walk_lanes(_slots.keyed(block), T, rates_at, keep_paths, stop_below_zero, columns)
+        lanes = _walk_lanes(_bank.keyed(block), T, rates_at, keep_paths, stop_below_zero, columns)
         if lanes.jumps.max() > _LONG_WALK:
             width, columns = _WIDE_LANES, _COLUMNS
         yield lanes
@@ -778,7 +789,7 @@ def _one_path(stream: RngStream, T: float, rates_at) -> Trajectory:
     _replica_states row).  Times in (0, T) and signs of +-1 are what
     Trajectory checks, so it is built without rechecking."""
     r = stream.replica_index
-    lanes = _walk_lanes(_slots.keyed(_replica_states(stream.seed, r, r + 1)), T, rates_at, True, False)
+    lanes = _walk_lanes(_bank.keyed(_replica_states(stream.seed, r, r + 1)), T, rates_at, True, False)
     times, signs = lanes.path(0)
     return _unvalidated(
         Trajectory, horizon=T, jump_times=tuple(times), jump_signs=tuple(signs), initial_state=0

@@ -42,6 +42,7 @@ from bdlab.weights import (
     direct_estimate,
     importance_estimate,
 )
+from gen_rows import GenRows
 from reference_walk import reference_xi, reference_zeta
 
 UNIT = RateModel(kind="canonical", P=1.0, Q=1.0, l=0.0)
@@ -386,32 +387,62 @@ def _slot_states(pairs):
 
 
 def test_rekeyed_slots_draw_like_fresh_generators():
-    slots = process._Slots()
+    bank = process._Bank()
     for seed in (0, 5, 2**64 - 1):
         pairs = [(seed, r) for r in (0, 1, 4096, 2**64 + 5)]
-        gens = slots.keyed(_slot_states(pairs))
-        assert len(gens) == 4 and gens == slots.gens
-        for pair, gen in zip(pairs, gens):
-            fresh = RngStream(*pair).generator()
-            assert _numpy_state(gen.bit_generator) == _numpy_state(fresh.bit_generator)
-            for draw in ("standard_exponential", "random"):
-                got, want = getattr(gen, draw)(256), getattr(fresh, draw)(256)
-                assert np.array_equal(got, want), (pair, draw)
+        assert bank.keyed(_slot_states(pairs)) is bank and bank.n == len(bank.slots) == 4
+        # 96-byte rows from a 16-byte boundary: every 128-bit state is aligned
+        assert bank.slots.ctypes.data % 16 == 0 and bank.slots.strides == (96, 8)
+        fresh = [RngStream(*pair).generator() for pair in pairs]
+        assert [_as_ints(row) for row in bank.slots[:, 8:]] == [
+            _numpy_state(gen.bit_generator) for gen in fresh]
+        # 256 exponentials, then 256 uniforms: two rows of each through the C loops
+        for rows, fill, draw in ((bank.exps, bank.fill_exps, "standard_exponential"),
+                                 (bank.unis, bank.fill_unis, "random")):
+            got = []
+            for _ in range(2):
+                fill(range(4))
+                got.append(rows.copy())
+            for i, (pair, gen) in enumerate(zip(pairs, fresh)):
+                want = getattr(gen, draw)(2 * _BLOCK)
+                assert np.array_equal(np.concatenate((got[0][i], got[1][i])), want), (pair, draw)
     # a narrower block re-keys only its own slots and keeps them all
-    assert len(slots.keyed(_slot_states([(3, 7)]))) == 1 and len(slots.gens) == 4
+    before = bank.slots.copy()
+    assert bank.keyed(_slot_states([(3, 7)])).n == 1 and len(bank.slots) == 4
+    assert _as_ints(bank.slots[0, 8:]) == _numpy_state(RngStream(3, 7).generator().bit_generator)
+    assert np.array_equal(bank.slots[1:], before[1:])
 
 
-@pytest.mark.parametrize("fault", ["read-back", "re-key"])
+@pytest.mark.parametrize("fault", ["function-pointer", "re-key", "fill-symbol"])
 def test_slot_self_check_refuses_a_mismatch(monkeypatch, fault):
-    if fault == "read-back":
-        # a view that reads zeros in place of the generator's state
-        monkeypatch.setattr(process, "_state_key", lambda gen: memoryview(bytearray(32)))
+    if fault == "function-pointer":
+        # next_uint64 and next_uint32 swapped: the same state, the wrong words
+        check = process._check_bank
+
+        def swapped(bank, old):
+            bank.slots[:, [1, 2]] = bank.slots[:, [2, 1]]
+            check(bank, old)
+
+        monkeypatch.setattr(process, "_check_bank", swapped)
+    elif fault == "re-key":
+        keyed = process._Bank.keyed
+
+        def unkeyed(bank, states):
+            # a re-key that leaves every key as it was, once the bank is grown
+            if len(states) > len(bank.slots):
+                return keyed(bank, states)
+            kept = bank.slots[:, 8:].copy()
+            keyed(bank, states)
+            bank.slots[:, 8:] = kept
+            return bank
+
+        monkeypatch.setattr(process._Bank, "keyed", unkeyed)
     else:
-        monkeypatch.setattr(process, "_rekey", lambda keys, states: None)
-    slots = process._Slots()
+        monkeypatch.setattr(process, "_FILLS", ("random_standard_exponential_fill", "no_such_fill"))
+    bank = process._Bank()
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__}:"):
-        slots.keyed(_slot_states([(1, 2), (3, 4)]))
-    assert slots.gens == []
+        bank.keyed(_slot_states([(1, 2), (3, 4)]))
+    assert bank.n == len(bank.slots) == len(bank.exps) == 0
 
 
 SLOT_CALLS = """
@@ -449,12 +480,12 @@ def test_threads_keep_their_own_slots():
     # more threads than cores, switching often, so walks on shared slots
     # would interleave
     start = threading.Barrier(3, timeout=60)
-    got, slots = {}, {}
+    got, banks = {}, {}
 
     def run(name):
         start.wait()
         got[name] = [names["estimates"]() for _ in range(3)]
-        slots[name] = process._slots.gens
+        banks[name] = (process._bank.slots, process._bank.exps, process._bank.unis)
 
     threads = [threading.Thread(target=run, args=(name,)) for name in "abc"]
     interval = sys.getswitchinterval()
@@ -468,20 +499,24 @@ def test_threads_keep_their_own_slots():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == {name: [want] * 3 for name in "abc"}
-    ids = [set(map(id, slots[name])) for name in "abc"]
-    assert all(ids) and not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+    # each thread's slots and rows are buffers of its own
+    arrays = [a for name in "abc" for a in banks[name]]
+    assert all(a.size for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_exact_runs_load_no_random_module_and_build_no_slot():
     root = Path(__file__).resolve().parents[1]
     code = (
-        "import sys\n"
+        "import ctypes, sys\n"
+        "loaded = []\n"
+        "ctypes.PyDLL = lambda *args, **kwargs: loaded.append(args)\n"
         "import bdlab\n"
         "from bdlab import harness, process\n"
         f"config = harness.ExperimentConfig.load({str(root / 'configs' / 'marginal_exp.json')!r})\n"
         "assert harness.run_marginal_ldp_scan(config).rows\n"
         "assert 'numpy.random' not in sys.modules\n"
-        "assert process._slots.gens == []\n"
+        "assert process._bank.slots.size == 0 and loaded == []\n"
     )
     subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
                    env=dict(os.environ, PYTHONPATH=str(root / "src")))
@@ -535,7 +570,7 @@ def _assert_draw_calls_match(n, T, model, seed):
     for columns in GROUP_WIDTHS:
         logs = [[] for _ in range(n)]
         rates = _zeta_rates if model is None else _StateTable(model)
-        _walk_lanes([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)],
+        _walk_lanes(GenRows([_Recording(RngStream(seed, r).generator(), logs[r]) for r in range(n)]),
                     T, rates, True, False, columns)
         assert logs == want, columns
 
@@ -644,7 +679,7 @@ def test_jump_kernel_redraws_like_the_reference(exps, T):
     for model in (UNIT, KERNEL_TABLE, None):
         assert _assert_lanes_match_reference(make, 1, T, model) >= 2
     for rates in (_StateTable(UNIT), _zeta_rates):
-        assert _walk_lanes([make(0)], T, rates, True, False).path(0)[1] == [1, -1]
+        assert _walk_lanes(GenRows([make(0)]), T, rates, True, False).path(0)[1] == [1, -1]
 
 
 def test_kernel_paths_equal_their_validated_rebuild():
@@ -701,7 +736,8 @@ def _assert_lanes_match_reference(make_gen, n, T, model=None, stop_below_zero=Fa
     """Walk n lanes together, and each lane alone through the reference
     loop, on equal generators."""
     rates = _zeta_rates if model is None else _StateTable(model)
-    lanes = _walk_lanes([make_gen(i) for i in range(n)], T, rates, True, stop_below_zero, columns)
+    lanes = _walk_lanes(GenRows([make_gen(i) for i in range(n)]), T, rates, True, stop_below_zero,
+                        columns)
     jumps = 0
     for i in range(n):
         gen = make_gen(i)
@@ -793,7 +829,7 @@ def test_lanes_raise_where_the_table_runs_out():
             messages[r] = str(exc)
     assert 10 < len(messages) < 290
     with pytest.raises(PreconditionError) as exc:
-        _walk_lanes([RngStream(71, r).generator() for r in range(300)], 4.0,
+        _walk_lanes(GenRows([RngStream(71, r).generator() for r in range(300)]), 4.0,
                     _StateTable(short), False, False)
     assert str(exc.value) == "state 4 outside rate table (size 4)"
     assert set(messages.values()) == {str(exc.value)}
@@ -822,8 +858,8 @@ def test_lanes_redraw_like_the_kernel(T):
     for columns in GROUP_WIDTHS:
         for model in (UNIT, KERNEL_TABLE, None):
             _assert_lanes_match_reference(make, len(draws), T, model, columns=columns)
-        lanes = _walk_lanes([make(i) for i in range(len(draws))], T, _zeta_rates, True, False,
-                            columns)
+        lanes = _walk_lanes(GenRows([make(i) for i in range(len(draws))]), T, _zeta_rates, True,
+                            False, columns)
         assert lanes.jumps[1] == (4 if T > 1e20 else 0)
 
 
@@ -842,8 +878,9 @@ def test_lanes_that_redrew_refill_their_own_rows():
 def test_walks_fill_the_reused_rows_before_reading_them():
     # every walk of a thread draws into the same rows: left holding NaN,
     # they change no path of a narrow or a widened block
-    for rows in process._slots.rows(process._WIDE_LANES):
-        rows.fill(math.nan)
+    bank = process._bank.keyed(_replica_states(0, 0, process._WIDE_LANES))
+    bank.exps.fill(math.nan)
+    bank.unis.fill(math.nan)
     model, T = KERNEL_MODELS[1]
     for r, got in enumerate(_lane_paths(_xi_lanes(model, T, 79, 0, 600, True))):
         assert got == reference_xi(model, T, RngStream(79, r).generator())
@@ -948,13 +985,14 @@ def test_lanes_ending_inside_a_table_step_past_its_edge_without_raising():
         Asked.top = 0
         make = lambda i: RngStream(73, kept[i]).generator()  # noqa: E731
         rates = Asked(short)
-        lanes = _walk_lanes([make(i) for i in range(len(kept))], T, rates, True, False, columns)
+        lanes = _walk_lanes(GenRows([make(i) for i in range(len(kept))]), T, rates, True, False,
+                            columns)
         for i in range(len(kept)):
             assert _lane_jumps(lanes, i) == reference_xi(short, T, make(i))
         assert lanes.peak.max() == 3 and Asked.top >= 8
         with pytest.raises(PreconditionError) as exc:
-            _walk_lanes([RngStream(73, r).generator() for r in range(400)], T, _StateTable(short),
-                        False, False, columns)
+            _walk_lanes(GenRows([RngStream(73, r).generator() for r in range(400)]), T,
+                        _StateTable(short), False, False, columns)
         assert str(exc.value) == "state 4 outside rate table (size 4)"
 
 
